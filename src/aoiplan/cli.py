@@ -42,7 +42,7 @@ from .scenario import (
     save_scenario,
     scenario_digest,
 )
-from .timing import EdgeMemo, build_graph, export_graph_csv, shortest_path
+from .timing import build_graph, export_graph_csv, shortest_path
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -301,8 +301,7 @@ def cmd_oracle(args) -> int:
     else:  # plan
         cap = args.epsilon_theta or scenario.num_rb_K
         budget.check_plan(scenario.horizon_T, scenario.aoi_bound_tau)
-        memo = EdgeMemo()
-        graph = build_graph(scenario, profile, cap, memo=memo)
+        graph = build_graph(scenario, profile, cap)
 
         def weight(i, j):
             return graph.edges[(i, j)].weight

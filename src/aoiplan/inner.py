@@ -21,11 +21,48 @@ the exact relaxed optimum:
 The exported plan is binary: the limit supports are frozen and the water
 level re-solved within them, which meets the rate target and power caps
 exactly at a small measured energy premium over the mixed optimum.
+
+Slot reuse.  A timing graph asks the same slots the same questions: every
+interval through slot t needs t's cap level and t's kernel rate at many
+levels.  A :class:`SlotCurve` holds one slot's cap solve, computed once,
+and every (level, rate) pair the kernel has returned for that slot.  The
+global-level bisection decides ``sum_t rate_t(mu) >= target`` from those
+pairs where it can.  Sequential float addition is monotone in every term,
+so when the summed lower bounds reach the target, or the summed upper
+bounds miss it, the exact sum decides the same way; otherwise the slot
+with the widest bound is solved and the sums retried.  Every decision,
+and hence every output bit, equals that of solving every slot at every
+probe.
+
+The bounds rest on monotonicity: the optimal rate is non-decreasing in
+the level, being -1/ln2 times the derivative of the concave optimal
+matching cost (the cost of a fixed matching M falls at rate
+ln2 * R_M(level), and R_M grows with the level).  The kernel, though, is
+only near-optimal: its successive-shortest-path stop tolerance and
+rounding let it pick either side of a near-tie, and two matchings whose
+rates differ by 6e-6 have been seen to alternate over a 1e-10 relative
+band of levels, so "rate solved below <= rate here" fails well beyond a
+few ulps.  What does hold for any two eps-optimal matchings
+at levels s < q is
+
+    R(s) <= R(q) + (eps_s + eps_q) / (ln2 * (q - s)),
+
+because each matching's cost changes by ln2 times the integral of its
+rate.  A flip may thus lose much rate only across a narrow band and
+little across a wide one.  :class:`SlotCurve` widens every bound by this
+slack, with eps = ``CURVE_EPS`` * K * (1 + level + max|w|): a hundred
+times the kernel's worst case of K skipped augmentations at its stop
+tolerance 1e-12 * (1 + max|w|), plus room for rounding at the level's
+scale.  An exact hit is reused as is, since the kernel is deterministic;
+mixed or limit values never serve as bounds, and a side with no solved
+level is unbounded, so the slot gets solved.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +77,7 @@ RATE_REL_TOL = 1e-6    # rate-target tolerance, relative
 POWER_REL_TOL = 1e-9   # power-cap tolerance, relative
 BRACKET_REL_TOL = 1e-13
 MAX_BISECT = 200
+CURVE_EPS = 1e-10      # assumed kernel suboptimality per RB and rate rounding, relative
 
 __all__ = [
     "IntervalSpec",
@@ -50,6 +88,7 @@ __all__ = [
     "extended_power",
     "extended_rate",
     "solve_slot_cap",
+    "SlotCurve",
     "solve_interval",
 ]
 
@@ -210,6 +249,99 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> _SlotCap:
     return _SlotCap(level=level, xi=xi, limits=lim, rate_at_cap=rate_at_cap)
 
 
+class SlotCurve:
+    """One slot's cap solve and the kernel rates solved so far, for one
+    (slot, load cap, power cap); shared by every interval through the slot.
+
+    Bounds carry the near-optimality slack of the module docstring.
+    Reads and inserts are guarded by a lock so concurrent interval solves
+    can share a curve; any interleaving yields the same decisions, since
+    every bound is valid.
+    """
+
+    def __init__(self, iota2d: np.ndarray, cap: int, power_cap: float):
+        self.iota2d = iota2d
+        self.cap = cap
+        self.power_cap = power_cap
+        self.slot_cap = solve_slot_cap(iota2d, cap, power_cap)
+        self._iota_min = float(iota2d.min())
+        self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
+        self._levels = []   # sorted solved levels
+        self._rates = []    # kernel rate at each solved level
+        self._lock = threading.Lock()
+
+    def _slack(self, level: float) -> float:
+        """Kernel suboptimality bound at ``level``, divided by ln 2."""
+        i = self._iota_min
+        w_max = level * math.log(level / i) - (level - i) if level > i else 0.0
+        return self._slack_scale * (1.0 + level + w_max)
+
+    def bounds(self, level: float) -> tuple:
+        """(lower, upper) bounds on the kernel rate at ``level`` from the
+        nearest solved level on each side; -inf or inf where there is none.
+        """
+        with self._lock:
+            levels, rates = self._levels, self._rates
+            j = bisect_left(levels, level)
+            if j < len(levels) and levels[j] == level:
+                return rates[j], rates[j]
+            own = self._slack(level)
+            lo = hi = None
+            if j:
+                s, r = levels[j - 1], rates[j - 1]
+                lo = r - (own + self._slack(s)) / (level - s) - CURVE_EPS * (1.0 + r)
+            if j < len(levels):
+                s, r = levels[j], rates[j]
+                hi = r + (own + self._slack(s)) / (s - level) + CURVE_EPS * (1.0 + r)
+        return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+
+    def solve(self, level: float) -> float:
+        """Kernel rate at ``level``, recorded for later bounds."""
+        _, _, rate = _slot_state(level, self.iota2d, self.cap)
+        with self._lock:
+            j = bisect_left(self._levels, level)
+            if j == len(self._levels) or self._levels[j] != level:
+                self._levels.insert(j, level)
+                self._rates.insert(j, rate)
+        return rate
+
+
+def _seq_sum(values) -> float:
+    """Left-to-right float sum, monotone in every term.
+
+    Bounds and exact rates must be added the same way for the comparison
+    to carry over; builtin ``sum`` compensates rounding on Python >= 3.12.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _rate_reaches(slots, mu: float, vbar: float) -> bool:
+    """Whether the slots' summed kernel rate at ``mu`` reaches ``vbar``.
+
+    Saturated slots contribute their cap rate; the others are bounded from
+    their curves and solved, widest bound first, only until the summed
+    bounds settle the comparison.
+    """
+    lows, highs = [], []
+    for curve in slots:
+        if mu >= curve.slot_cap.level:
+            lo = hi = curve.slot_cap.rate_at_cap
+        else:
+            lo, hi = curve.bounds(mu)
+        lows.append(lo)
+        highs.append(hi)
+    while True:
+        if _seq_sum(lows) >= vbar:
+            return True
+        if _seq_sum(highs) < vbar:
+            return False
+        t = max(range(len(slots)), key=lambda s: highs[s] - lows[s])
+        lows[t] = highs[t] = slots[t].solve(mu)
+
+
 # ----------------------------------------------------------------------
 # Binary plan extraction: re-solve the water level on frozen supports
 # ----------------------------------------------------------------------
@@ -292,12 +424,14 @@ def _zero_solution(N, K, L):
     )
 
 
-def solve_interval(spec: IntervalSpec, profile: ChannelProfile):
+def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
     """Minimum-energy plan for one interval, or :class:`Infeasible`.
 
     The relaxed optimum (``energy``) is exact up to the bisection
     tolerances; the attached binary plan satisfies the rate target and the
-    per-slot power caps by construction.
+    per-slot power caps by construction.  ``slots`` optionally supplies
+    the interval's :class:`SlotCurve` per slot, built for ``spec``'s caps
+    and shared with other intervals; fresh curves are built otherwise.
     """
     N, K, T = profile.dims
     if not spec.end <= T + 1:
@@ -308,21 +442,16 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile):
     if vbar <= 0.0:
         return _zero_solution(N, K, L)
 
-    caps = [solve_slot_cap(iota3d[:, :, t], spec.rb_cap, spec.power_cap) for t in range(L)]
+    if slots is None:
+        slots = [SlotCurve(iota3d[:, :, t], spec.rb_cap, spec.power_cap) for t in range(L)]
+    elif len(slots) != L or any(
+            c.cap != spec.rb_cap or c.power_cap != spec.power_cap for c in slots):
+        raise ValueError(f"slot curves do not match interval [{spec.start}, {spec.end})")
+    caps = [c.slot_cap for c in slots]
     cap_levels = np.array([c.level for c in caps])
     max_rate = float(sum(c.rate_at_cap for c in caps))
     if max_rate < vbar * (1.0 - 1e-12):
         return Infeasible(max_rate=max_rate)
-
-    def total_rate(mu):
-        total = 0.0
-        for t in range(L):
-            if mu >= cap_levels[t]:
-                total += caps[t].rate_at_cap
-            else:
-                _, _, r = _slot_state(mu, iota3d[:, :, t], spec.rb_cap)
-                total += r
-        return total
 
     lo = float(iota3d.min())
     hi = float(cap_levels.max())
@@ -330,7 +459,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile):
         if hi - lo <= max(BRACKET_REL_TOL * hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        if total_rate(mid) >= vbar:
+        if _rate_reaches(slots, mid, vbar):
             hi = mid
         else:
             lo = mid

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelProfile
 from .errors import BudgetInfeasibleError, MonotonicityError, NoFeasiblePlanError
 from .scenario import Scenario, energy_to_dbm
-from .timing import EdgeMemo, SamplingPlan, build_graph, shortest_path
+from .timing import SamplingPlan, build_graph, shortest_path
 
 __all__ = [
     "FrontierPoint", "ParetoFrontier", "compute_frontier",
@@ -71,7 +71,7 @@ class ParetoFrontier:
 
 
 def compute_frontier(scenario: Scenario, profile: ChannelProfile,
-                     memo: EdgeMemo | None = None, jobs: int = 1) -> ParetoFrontier:
+                     jobs: int = 1) -> ParetoFrontier:
     """Sweep the integer load cap and keep the strictly-improving prefix.
 
     Feasibility is monotone in the cap, so a linear scan from 1 finds
@@ -79,10 +79,9 @@ def compute_frontier(scenario: Scenario, profile: ChannelProfile,
     strictly decrease (saturation).  Raises :class:`NoFeasiblePlanError`
     when even the full spectrum (cap = K) is infeasible.
     """
-    memo = memo if memo is not None else EdgeMemo()
     points = []
     for cap in range(1, scenario.num_rb_K + 1):
-        graph = build_graph(scenario, profile, cap, memo=memo, jobs=jobs)
+        graph = build_graph(scenario, profile, cap, jobs=jobs)
         try:
             plan = shortest_path(graph)
         except NoFeasiblePlanError:

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ChannelProfile, capacity_lower_bound
 from .inner import Infeasible, IntervalSpec, solve_interval
 from .scenario import Scenario
-from .timing import EdgeMemo, SamplingPlan, build_graph, shortest_path
+from .timing import SamplingPlan, build_graph, shortest_path
 
 __all__ = [
     "Leg", "PolicyPlan", "AoiTrace", "SimReport",
@@ -142,9 +142,9 @@ def policy_plan_from_sampling(plan: SamplingPlan, scenario: Scenario,
 
 
 def age_aware_plan(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
-                   memo: EdgeMemo | None = None, rate_margin: float = 1.0) -> PolicyPlan:
+                   rate_margin: float = 1.0) -> PolicyPlan:
     """Optimal age-aware plan: timing graph plus shortest path."""
-    graph = build_graph(scenario, profile, rb_cap, memo=memo, rate_margin=rate_margin)
+    graph = build_graph(scenario, profile, rb_cap, rate_margin=rate_margin)
     plan = shortest_path(graph)
     return policy_plan_from_sampling(plan, scenario)
 

@@ -13,41 +13,15 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .channel import ChannelProfile
 from .errors import NoFeasiblePlanError
-from .inner import Infeasible, IntervalSpec, solve_interval
+from .inner import Infeasible, IntervalSpec, SlotCurve, solve_interval
 from .scenario import Scenario
 
-__all__ = ["TimingGraph", "SamplingPlan", "EdgeMemo", "build_graph", "shortest_path",
-           "export_graph_csv"]
-
-
-class EdgeMemo:
-    """Thread-safe memo of inner solves keyed by (start, end, rb_cap).
-
-    Shared across frontier sweeps so repeated interval structure is solved
-    once.  Single-writer inserts are guarded by a lock; values are
-    immutable once stored.
-    """
-
-    def __init__(self):
-        self._data = {}
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key, value):
-        with self._lock:
-            self._data.setdefault(key, value)
-
-    def __len__(self):
-        return len(self._data)
+__all__ = ["TimingGraph", "SamplingPlan", "build_graph", "shortest_path", "export_graph_csv"]
 
 
 @dataclass(frozen=True)
@@ -112,32 +86,29 @@ def _edge_targets(horizon: int, aoi_bound: int):
 
 
 def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
-                memo: EdgeMemo | None = None, jobs: int = 1,
-                rate_margin: float = 1.0) -> TimingGraph:
+                jobs: int = 1, rate_margin: float = 1.0) -> TimingGraph:
     """Solve every admissible interval and assemble the timing graph.
 
+    Each slot's cap level is solved once and its kernel rates are shared
+    by every interval through it (:class:`~aoiplan.inner.SlotCurve`).
     Edges are independent inner solves; with ``jobs > 1`` they are
     evaluated concurrently (results are order-independent, so the graph is
     identical for any job count).  Infeasible intervals become infinite-
     weight edges, never failures.
     """
     T, tau = scenario.horizon_T, scenario.aoi_bound_tau
-    memo = memo if memo is not None else EdgeMemo()
-    keys = [(i, j) for (i, j) in _edge_targets(T, tau)]
+    power_cap = scenario.power_budget_pbar
+    curves = [SlotCurve(profile.iota[:, :, t], rb_cap, power_cap) for t in range(T)]
+    keys = list(_edge_targets(T, tau))
 
     def solve_one(key):
         i, j = key
-        cached = memo.get((i, j, rb_cap))
-        if cached is not None:
-            return key, cached
         spec = IntervalSpec(
             start=i, end=j, rb_cap=rb_cap,
             rate_target=scenario.payload_threshold_vbar * rate_margin,
-            power_cap=scenario.power_budget_pbar,
+            power_cap=power_cap,
         )
-        sol = solve_interval(spec, profile)
-        memo.put((i, j, rb_cap), sol)
-        return key, sol
+        return key, solve_interval(spec, profile, curves[i - 1 : j - 1])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

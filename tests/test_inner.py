@@ -1,12 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from aoiplan import ChannelProfile
+import aoiplan.inner as inner
 from aoiplan.inner import (
     Infeasible,
     IntervalSpec,
+    SlotCurve,
     extended_power,
     extended_rate,
     solve_interval,
@@ -227,3 +231,115 @@ def test_interval_spec_validation():
         IntervalSpec(start=1, end=2, rb_cap=1, rate_target=-1.0, power_cap=1.0)
     with pytest.raises(ValueError):
         IntervalSpec(start=1, end=2, rb_cap=1, rate_target=1.0, power_cap=0.0)
+
+
+# ---------------------------------------------------------------- shared slot curves
+
+def _switch_levels(iota2d, cap, lo, hi, grid=120):
+    """Adjacent-float level pairs across which the kernel's matching changes."""
+    levels = np.linspace(lo, hi, grid)
+    sels = [inner._slot_state(x, iota2d, cap)[0] for x in levels]
+    out = []
+    for a, b, sa, sb in zip(levels, levels[1:], sels, sels[1:]):
+        if np.array_equal(sa, sb):
+            continue
+        a, b = float(a), float(b)
+        while np.nextafter(a, math.inf) < b:
+            mid = 0.5 * (a + b)
+            if np.array_equal(inner._slot_state(mid, iota2d, cap)[0], sa):
+                a = mid
+            else:
+                b = mid
+        out.append((a, b))
+    return out
+
+
+def _direct_total(slots, mu):
+    total = 0.0
+    for c in slots:
+        if mu >= c.slot_cap.level:
+            total += c.slot_cap.rate_at_cap
+        else:
+            total += inner._slot_state(mu, c.iota2d, c.cap)[2]
+    return total
+
+
+def test_slot_curve_bounds_settle_like_direct_sums():
+    """Bounds from curves seeded a few ulps around every matching switch
+    decide ``total >= target`` exactly as summing the kernel rates does,
+    including targets one ulp either side of the total."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for seed in range(5):
+        prof = synthetic_profile(100 + seed, N=3, K=4, L=3)
+        cap, power_cap = 1 + seed % 2, 6.0
+        slots = [SlotCurve(prof.iota[:, :, t], cap, power_cap) for t in range(3)]
+        lo, hi = float(prof.iota.min()), max(c.slot_cap.level for c in slots)
+        switches = []
+        for c in slots:
+            for a, b in _switch_levels(c.iota2d, cap, lo, c.slot_cap.level):
+                switches.append(a)
+                for k in range(-3, 4):  # seed a few ulps on both sides
+                    x = a
+                    for _ in range(abs(k)):
+                        x = float(np.nextafter(x, math.inf if k > 0 else -math.inf))
+                    c.solve(x)
+        assert switches
+        for n in range(200):
+            if n % 2:
+                mu = float(rng.uniform(lo, hi))
+            else:  # near a switch: within a few ulps up to well past the guard
+                a = switches[int(rng.integers(len(switches)))]
+                mu = a * (1.0 + float(rng.choice([-1, 1])) * 10.0 ** rng.uniform(-16.5, -12))
+            total = _direct_total(slots, mu)
+            for vbar in (total, float(np.nextafter(total, math.inf)),
+                         float(np.nextafter(total, -math.inf)),
+                         total * (1.0 + float(rng.uniform(-1e-3, 1e-3)))):
+                if vbar <= 0.0:
+                    continue
+                got = inner._rate_reaches(slots, mu, vbar)
+                assert got == (total >= vbar), (seed, mu, vbar, total)
+            checked += 1
+    assert checked == 1000
+
+
+def test_solve_interval_rejects_mismatched_curves():
+    prof = synthetic_profile(3)
+    spec = IntervalSpec(start=1, end=3, rb_cap=1, rate_target=1.0, power_cap=5.0)
+    curves = [SlotCurve(prof.iota[:, :, t], 1, 5.0) for t in range(3)]
+    with pytest.raises(ValueError):
+        solve_interval(spec, prof, curves)
+    with pytest.raises(ValueError):
+        solve_interval(spec, prof, [SlotCurve(prof.iota[:, :, t], 2, 5.0) for t in range(2)])
+    assert solve_interval(spec, prof, curves[:2]).energy == solve_interval(spec, prof).energy
+
+
+def test_slot_curve_concurrent_solves_keep_curve_consistent():
+    prof = synthetic_profile(11, N=3, K=4, L=1)
+    curve = SlotCurve(prof.iota[:, :, 0], 2, 6.0)
+    lo, hi = float(prof.iota.min()), curve.slot_cap.level
+    levels = np.random.default_rng(0).uniform(lo, hi, size=(8, 40))
+    errors = []
+
+    def worker(row):
+        try:
+            for x in row:
+                curve.bounds(float(x))
+                curve.solve(float(x))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(row,)) for row in levels]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(th.is_alive() for th in threads)
+    expect = sorted(set(float(x) for x in levels.ravel()))
+    assert curve._levels == expect
+    assert curve._rates == [inner._slot_state(x, curve.iota2d, 2)[2] for x in expect]

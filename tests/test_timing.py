@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import aoiplan.inner
 from aoiplan import build_profile
 from aoiplan.errors import NoFeasiblePlanError
+from aoiplan.inner import Infeasible, IntervalSpec, solve_interval
 from aoiplan.oracle import oracle_plan
 from aoiplan.sim import expected_trace, policy_plan_from_sampling
-from aoiplan.timing import Edge, EdgeMemo, TimingGraph, build_graph, export_graph_csv, shortest_path
+from aoiplan.timing import Edge, TimingGraph, build_graph, export_graph_csv, shortest_path
 
 from conftest import desk_scenario
 
@@ -127,14 +129,39 @@ def test_expected_rate_success_never_exceeds_bound(small_scenario, small_profile
     assert trace.peak_age <= small_scenario.aoi_bound_tau
 
 
-def test_memo_shared_across_builds(small_scenario, small_profile):
-    memo = EdgeMemo()
-    g1 = build_graph(small_scenario, small_profile, rb_cap=2, memo=memo)
-    before = len(memo)
-    g2 = build_graph(small_scenario, small_profile, rb_cap=2, memo=memo)
-    assert len(memo) == before
-    for key in g1.edges:
-        assert g1.edges[key].weight == g2.edges[key].weight
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_shared_slot_curves_match_standalone_solves(small_scenario, small_profile, cap):
+    s = small_scenario
+    assert cap <= s.num_rb_K
+    g = build_graph(s, small_profile, rb_cap=cap)
+    for (i, j), edge in g.edges.items():
+        spec = IntervalSpec(start=i, end=j, rb_cap=cap, rate_target=s.payload_threshold_vbar,
+                            power_cap=s.power_budget_pbar)
+        ref = solve_interval(spec, small_profile)
+        got = edge.solution
+        assert type(got) is type(ref)
+        if isinstance(ref, Infeasible):
+            assert got.max_rate == ref.max_rate
+            continue
+        assert got.energy == ref.energy
+        assert got.binary_energy == ref.binary_energy
+        assert np.array_equal(got.assignment, ref.assignment)
+        assert np.array_equal(got.power, ref.power)
+
+
+def test_slot_cap_solved_once_per_slot(small_scenario, small_profile, monkeypatch):
+    calls = []
+    real = aoiplan.inner.solve_slot_cap
+
+    def counting(iota2d, cap, power_cap):
+        calls.append(cap)
+        return real(iota2d, cap, power_cap)
+
+    monkeypatch.setattr(aoiplan.inner, "solve_slot_cap", counting)
+    for cap in (1, 2):
+        calls.clear()
+        build_graph(small_scenario, small_profile, rb_cap=cap)
+        assert calls == [cap] * small_scenario.horizon_T
 
 
 def test_jobs_do_not_change_results(small_scenario, small_profile):
