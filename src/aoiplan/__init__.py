@@ -18,7 +18,7 @@ from .channel import (
     save_profile,
 )
 from .inner import Infeasible, InnerSolution, IntervalSpec, solve_interval, water_fill
-from .matching import AssignmentProblem, BinaryAssignment, limit_assignments, min_cost_b_matching
+from .matching import AssignmentProblem, BinaryAssignment, min_cost_b_matching
 from .pareto import (
     ParetoFrontier,
     budget_select,
@@ -65,7 +65,6 @@ __all__ = [
     "compute_frontier",
     "default_patrol_scenario",
     "fading_severity",
-    "limit_assignments",
     "load_profile",
     "load_scenario",
     "los_probability",

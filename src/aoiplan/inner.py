@@ -34,6 +34,15 @@ with the widest bound is solved and the sums retried.  Every decision,
 and hence every output bit, equals that of solving every slot at every
 probe.
 
+Curves also keep the kernel's selection beside each solved (level, rate).
+A slot's matching is piecewise constant in the level, so the selection
+solved at the nearest level is almost always the answer at the next one;
+it is handed to the kernel as a hint, which the kernel returns only under
+its optimality certificate (see :mod:`aoiplan.matching`), so hints change
+speed, never results.  When the hint is returned it is the same array
+object, so a run of equal selections is stored once.  The cap solve's
+bisection and the one-sided limits are warm-started the same way.
+
 The bounds rest on monotonicity: the optimal rate is non-decreasing in
 the level, being -1/ln2 times the derivative of the concave optimal
 matching cost (the cost of a fixed matching M falls at rate
@@ -70,6 +79,7 @@ import numpy as np
 from .channel import ChannelProfile
 from .errors import BinaryRoundingError
 from .matching import AssignmentProblem, min_cost_b_matching
+from .numeric import seq_sum
 
 LN2 = math.log(2.0)
 
@@ -167,11 +177,13 @@ def assignment_weights(level, iota):
     return power - LN2 * float(level) * rate
 
 
-def _slot_state(level, iota2d, cap):
+def _slot_state(level, iota2d, cap, hint=None):
+    """Kernel selection at ``level`` with its assigned power and rate."""
     power, rate = water_fill(level, iota2d)
     w = power - LN2 * float(level) * rate
-    sel = min_cost_b_matching(AssignmentProblem(w, cap)).select.astype(bool)
-    return sel, float(power[sel].sum()), float(rate[sel].sum())
+    select = min_cost_b_matching(AssignmentProblem(w, cap), hint=hint).select
+    sel = select.astype(bool)
+    return select, float(power[sel].sum()), float(rate[sel].sum())
 
 
 @dataclass
@@ -184,14 +196,23 @@ class _SlotLimits:
     r_plus: float
 
 
-def _slot_limits(level, iota2d, cap, rel_eps=1e-7, abs_floor=1e-12) -> _SlotLimits:
-    """One-sided limit assignments at ``level``, valued at ``level`` itself."""
+def _slot_limits(level, iota2d, cap, rel_eps=1e-7, abs_floor=1e-12, hint=None) -> _SlotLimits:
+    """One-sided limit assignments at ``level``, valued at ``level`` itself.
+
+    Evaluates the matching at level*(1 -/+ eps) with a relative
+    perturbation (absolute floor guards level ~ 0), approximating the
+    one-sided limits at a critical point; away from criticals both sides
+    coincide.  ``hint`` warm-starts the lower side, whose selection
+    warm-starts the upper one.
+    """
     power, rate = water_fill(level, iota2d)
     eps = max(abs(level) * rel_eps, abs_floor)
     out = []
+    select = hint
     for side in (level - eps, level + eps):
         w = assignment_weights(side, iota2d)
-        sel = min_cost_b_matching(AssignmentProblem(w, cap)).select.astype(bool)
+        select = min_cost_b_matching(AssignmentProblem(w, cap), hint=select).select
+        sel = select.astype(bool)
         out.append((sel, float(power[sel].sum()), float(rate[sel].sum())))
     (am, pm, rm), (ap, pp, rp) = out
     return _SlotLimits(am, ap, pm, pp, rm, rp)
@@ -229,17 +250,18 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> _SlotCap:
     lo = float(iota2d.min())
     hi = float(iota2d.max()) + float(power_cap)  # assigned power >= hi - max(iota) there
     tol_p = POWER_REL_TOL * power_cap
+    select = None  # each probe is warm-started from the previous one
     for _ in range(MAX_BISECT):
         if hi - lo <= max(BRACKET_REL_TOL * hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        _, p_mid, _ = _slot_state(mid, iota2d, cap)
+        select, p_mid, _ = _slot_state(mid, iota2d, cap, select)
         if p_mid >= power_cap:
             hi = mid
         else:
             lo = mid
     level = hi
-    lim = _slot_limits(level, iota2d, cap)
+    lim = _slot_limits(level, iota2d, cap, hint=select)
     gap = lim.p_plus - lim.p_minus
     if gap > tol_p and lim.p_minus <= power_cap <= lim.p_plus:
         xi = (power_cap - lim.p_minus) / gap
@@ -250,8 +272,9 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> _SlotCap:
 
 
 class SlotCurve:
-    """One slot's cap solve and the kernel rates solved so far, for one
-    (slot, load cap, power cap); shared by every interval through the slot.
+    """One slot's cap solve and the kernel rates and selections solved so
+    far, for one (slot, load cap, power cap); shared by every interval
+    through the slot.
 
     Bounds carry the near-optimality slack of the module docstring.
     Reads and inserts are guarded by a lock so concurrent interval solves
@@ -268,6 +291,7 @@ class SlotCurve:
         self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
         self._levels = []   # sorted solved levels
         self._rates = []    # kernel rate at each solved level
+        self._selects = []  # kernel selection at each solved level
         self._lock = threading.Lock()
 
     def _slack(self, level: float) -> float:
@@ -295,27 +319,28 @@ class SlotCurve:
                 hi = r + (own + self._slack(s)) / (s - level) + CURVE_EPS * (1.0 + r)
         return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
 
+    def nearest_select(self, level: float):
+        """Kernel selection at the solved level nearest ``level``, or None."""
+        with self._lock:
+            levels = self._levels
+            j = bisect_left(levels, level)
+            if j == len(levels) or (j and level - levels[j - 1] < levels[j] - level):
+                j -= 1
+            return self._selects[j] if j >= 0 else None
+
     def solve(self, level: float) -> float:
         """Kernel rate at ``level``, recorded for later bounds."""
-        _, _, rate = _slot_state(level, self.iota2d, self.cap)
+        hint = self.nearest_select(level)
+        select, _, rate = _slot_state(level, self.iota2d, self.cap, hint)
+        if hint is not None and select.tobytes() == hint.tobytes():
+            select = hint  # equal selections are stored once
         with self._lock:
             j = bisect_left(self._levels, level)
             if j == len(self._levels) or self._levels[j] != level:
                 self._levels.insert(j, level)
                 self._rates.insert(j, rate)
+                self._selects.insert(j, select)
         return rate
-
-
-def _seq_sum(values) -> float:
-    """Left-to-right float sum, monotone in every term.
-
-    Bounds and exact rates must be added the same way for the comparison
-    to carry over; builtin ``sum`` compensates rounding on Python >= 3.12.
-    """
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _rate_reaches(slots, mu: float, vbar: float) -> bool:
@@ -334,9 +359,9 @@ def _rate_reaches(slots, mu: float, vbar: float) -> bool:
         lows.append(lo)
         highs.append(hi)
     while True:
-        if _seq_sum(lows) >= vbar:
+        if seq_sum(lows) >= vbar:
             return True
-        if _seq_sum(highs) < vbar:
+        if seq_sum(highs) < vbar:
             return False
         t = max(range(len(slots)), key=lambda s: highs[s] - lows[s])
         lows[t] = highs[t] = slots[t].solve(mu)
@@ -449,7 +474,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         raise ValueError(f"slot curves do not match interval [{spec.start}, {spec.end})")
     caps = [c.slot_cap for c in slots]
     cap_levels = np.array([c.level for c in caps])
-    max_rate = float(sum(c.rate_at_cap for c in caps))
+    max_rate = float(seq_sum(c.rate_at_cap for c in caps))
     if max_rate < vbar * (1.0 - 1e-12):
         return Infeasible(max_rate=max_rate)
 
@@ -472,7 +497,8 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
             limits.append(caps[t].limits)
             xi_max[t] = caps[t].xi
         else:
-            limits.append(_slot_limits(mu, iota3d[:, :, t], spec.rb_cap))
+            limits.append(_slot_limits(mu, iota3d[:, :, t], spec.rb_cap,
+                                       hint=slots[t].nearest_select(mu)))
 
     def mixed_rate(xi):
         total = 0.0
@@ -499,9 +525,8 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         xi_star = xhi
 
     mix = np.minimum(xi_star, xi_max)
-    energy_mixed = float(
-        sum((1.0 - mix[t]) * limits[t].p_minus + mix[t] * limits[t].p_plus for t in range(L))
-    )
+    energy_mixed = float(seq_sum(
+        (1.0 - mix[t]) * limits[t].p_minus + mix[t] * limits[t].p_plus for t in range(L)))
 
     # binary plan: freeze a limit support per slot and re-solve the level
     candidates = [

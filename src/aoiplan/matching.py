@@ -6,16 +6,31 @@ Its constraint matrix is totally unimodular, so an integral optimum always
 exists; this module finds one directly with a successive-shortest-path
 min-cost flow that only augments along negative-cost paths (the empty
 assignment is feasible, so positive-weight edges are never selected).
+
+Warm starts.  Callers solving the same slot at nearby water levels may
+pass the selection solved last as a ``hint``.  The hint is returned only
+when it is certifiably the selection the flow solver would return, so the
+output stays a pure function of the weights and the cap.  The flow solver
+stops at the first augmenting path costing at least ``-stop_tol``, and
+successive path costs do not decrease, so its result costs at most
+``K * stop_tol`` above the optimum.  Any other selection differs from the
+hint by cycles of the hint's residual graph; when every such cycle costs
+more than ``margin = 4 * K * stop_tol``, every other selection costs more
+than ``margin`` above the hint, so the flow solver's result, being within
+``K * stop_tol`` of the optimum, is the hint itself.  A hint within the
+margin of a tie is refused and the flow solver runs, so every output bit
+is the same with or without hints.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AssignmentProblem", "BinaryAssignment", "min_cost_b_matching", "limit_assignments"]
+__all__ = ["AssignmentProblem", "BinaryAssignment", "min_cost_b_matching"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +55,11 @@ class AssignmentProblem:
 class BinaryAssignment:
     select: np.ndarray  # (N, K) of {0, 1}
     total_weight: float
+
+
+def _stop_tol(weights: np.ndarray) -> float:
+    """Path cost above which ``_ssp`` stops augmenting, negated."""
+    return 1e-12 * (1.0 + float(np.abs(weights).max()))
 
 
 def _ssp(weights: np.ndarray, cap: int) -> np.ndarray:
@@ -82,7 +102,7 @@ def _ssp(weights: np.ndarray, cap: int) -> np.ndarray:
         pot[1 + N + k] = d
     pot[SNK] = min(rb_dist.values())
 
-    stop_tol = 1e-12 * (1.0 + float(np.abs(weights).max()))
+    stop_tol = _stop_tol(weights)
     INF = float("inf")
 
     while True:
@@ -132,12 +152,97 @@ def _ssp(weights: np.ndarray, cap: int) -> np.ndarray:
     return select
 
 
-def min_cost_b_matching(problem: AssignmentProblem) -> BinaryAssignment:
+def _certified(w: np.ndarray, cap: int, hint: np.ndarray) -> bool:
+    """Whether ``hint`` is the selection ``_ssp(w, cap)`` returns.
+
+    The residual graph of ``hint`` has nodes source, sink, the N base
+    stations and the K resource blocks.  On any residual cycle an RB sits
+    between two of the other nodes, so each RB is collapsed into edges:
+    base station n takes RB k from its owner n' (cost w[n,k] - w[n',k]),
+    takes free RB k to the sink (w[n,k]), or the sink takes owned RB k back
+    from n' (-w[n',k]); only strictly negative entries are edges, as in
+    ``_ssp``.  The source links a station with load to a station with
+    spare capacity, or to the sink, at cost 0; composing these free moves
+    onto the RB edges leaves a graph on the N stations plus the sink whose
+    cycles are the hint's residual cycles apart from the no-op cycles of
+    the source alone.  Floyd-Warshall finds each node's cheapest cycle.
+    The hint is accepted only when every cycle costs more than
+    ``margin = 4 * K * stop_tol``: any other selection then costs more than
+    ``margin`` above it, while ``_ssp`` stops within ``K * stop_tol`` of
+    the optimum, so ``_ssp`` would return the hint itself.  Hints that pick
+    a non-negative entry, share a column or overload a row are refused.
+    """
+    N, K = w.shape
+    if hint.shape != (N, K):
+        return False
+    rows, cols = np.nonzero(hint)
+    if (len(set(cols.tolist())) < len(cols) or not (hint[rows, cols] == 1).all()
+            or not (w[rows, cols] < 0.0).all()):
+        return False
+    load = np.bincount(rows, minlength=N).tolist()
+    if max(load) > cap:
+        return False
+    owner = [-1] * K
+    for n, k in zip(rows.tolist(), cols.tolist()):
+        owner[k] = n
+
+    SNK = N
+    INF = math.inf
+    dist = [[INF] * (N + 1) for _ in range(N + 1)]
+    for k, col in enumerate(w.T.tolist()):
+        o = owner[k]
+        if o < 0:
+            for n, c in enumerate(col):
+                if c < 0.0 and c < dist[n][SNK]:
+                    dist[n][SNK] = c            # take the free RB
+            continue
+        w_o = col[o]
+        if -w_o < dist[SNK][o]:
+            dist[SNK][o] = -w_o                 # drop the owned RB
+        for n, c in enumerate(col):
+            if c < 0.0 and n != o:
+                c -= w_o
+                if c < dist[n][o]:
+                    dist[n][o] = c              # take the RB from its owner
+    # compose the free moves through the source: from a station with load,
+    # or the sink, on to a station with spare capacity, or the sink
+    gives = [n for n in range(N) if load[n]] + [SNK]
+    spare = [n for n in range(N) if load[n] < cap] + [SNK]
+    for row in dist:
+        via = min([row[b] for b in gives])
+        if via < INF:
+            for c in spare:
+                if via < row[c]:
+                    row[c] = via
+    nodes = range(N + 1)
+    for m in nodes:
+        dm = dist[m]
+        for di in dist:
+            dim = di[m]
+            if dim == INF:
+                continue
+            for j in nodes:
+                c = dim + dm[j]
+                if c < di[j]:
+                    di[j] = c
+    margin = 4.0 * K * _stop_tol(w)
+    for i in nodes:
+        if dist[i][i] <= margin:
+            return False
+    return True
+
+
+def min_cost_b_matching(problem: AssignmentProblem, hint: np.ndarray | None = None
+                        ) -> BinaryAssignment:
     """Minimize sum(w * a) over binary assignments with both capacity families.
 
     Only strictly negative edges can appear in an optimum (dropping a
     non-negative edge never hurts), so all-positive weights yield the empty
-    assignment.  Ties break toward the lowest (n, k) index.
+    assignment.  Ties break toward the lowest (n, k) index.  ``hint`` is an
+    optional (N, K) 0/1 candidate, usually the selection solved at a nearby
+    level; it changes only the speed, never the result (see
+    :func:`_certified`), and is returned as the selection itself when it is
+    certified.
     """
     w = problem.weights
     cap = int(problem.bs_capacity)
@@ -154,22 +259,9 @@ def min_cost_b_matching(problem: AssignmentProblem) -> BinaryAssignment:
     if counts.max() <= cap:
         select = np.zeros((N, K), dtype=np.int8)
         select[best_row[active_cols], np.nonzero(active_cols)[0]] = 1
+    elif hint is not None and _certified(w, cap, hint):
+        select = hint
     else:
         select = _ssp(w, cap)
     total = float(np.sum(w[select.astype(bool)]))
     return BinaryAssignment(select, total)
-
-
-def limit_assignments(level: float, weight_fn, bs_capacity: int,
-                      rel_eps: float = 1e-7, abs_floor: float = 1e-12):
-    """Left/right-limit assignments around a water level.
-
-    Evaluates the matching at level*(1 -/+ eps) with a relative
-    perturbation (absolute floor guards level ~ 0), approximating the
-    one-sided limits at a critical point.  Away from criticals both sides
-    coincide.
-    """
-    eps = max(abs(level) * rel_eps, abs_floor)
-    lo = min_cost_b_matching(AssignmentProblem(weight_fn(level - eps), bs_capacity))
-    hi = min_cost_b_matching(AssignmentProblem(weight_fn(level + eps), bs_capacity))
-    return lo, hi

@@ -21,6 +21,7 @@ from .channel import ChannelProfile
 from .errors import NoFeasiblePlanError, OracleBudgetError
 from .inner import Infeasible, IntervalSpec
 from .matching import AssignmentProblem, BinaryAssignment
+from .numeric import seq_sum
 
 LN2 = math.log(2.0)
 
@@ -166,7 +167,7 @@ def oracle_inner(spec: IntervalSpec, profile: ChannelProfile,
     caps = []
     for t in range(L):
         caps.append(_oracle_slot_cap(iota3d[:, :, t].reshape(-1), masks_flat, spec.power_cap))
-    phi_max = sum(c[1] for c in caps)
+    phi_max = seq_sum(c[1] for c in caps)
     if phi_max < vbar * (1.0 - 1e-12):
         return Infeasible(max_rate=phi_max)
 

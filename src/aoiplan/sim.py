@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import ChannelProfile, capacity_lower_bound
 from .inner import Infeasible, IntervalSpec, solve_interval
+from .numeric import seq_sum
 from .scenario import Scenario
 from .timing import SamplingPlan, build_graph, shortest_path
 
@@ -73,11 +74,11 @@ class PolicyPlan:
 
     @property
     def planned_energy(self) -> float:
-        return sum(leg.planned_energy for leg in self.legs)
+        return seq_sum(leg.planned_energy for leg in self.legs)
 
     @property
     def spent_energy(self) -> float:
-        return sum(leg.spent_energy for leg in self.legs)
+        return seq_sum(leg.spent_energy for leg in self.legs)
 
     @property
     def instants(self) -> tuple:

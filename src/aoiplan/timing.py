@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .channel import ChannelProfile
 from .errors import NoFeasiblePlanError
 from .inner import Infeasible, IntervalSpec, SlotCurve, solve_interval
+from .numeric import seq_sum
 from .scenario import Scenario
 
 __all__ = ["TimingGraph", "SamplingPlan", "build_graph", "shortest_path", "export_graph_csv"]
@@ -161,7 +162,7 @@ def shortest_path(graph: TimingGraph) -> SamplingPlan:
     for i, j in zip(nodes[:-1], nodes[1:]):
         total += graph.edges[(i, j)].weight
     # weight-only graphs (no attached solutions) fall back to the edge weights
-    binary = sum(
+    binary = seq_sum(
         s.binary_energy if s is not None else graph.edges[leg].weight
         for leg, s in zip(zip(nodes[:-1], nodes[1:]), solutions)
     )

@@ -342,4 +342,7 @@ def test_slot_curve_concurrent_solves_keep_curve_consistent():
     assert not errors and not any(th.is_alive() for th in threads)
     expect = sorted(set(float(x) for x in levels.ravel()))
     assert curve._levels == expect
-    assert curve._rates == [inner._slot_state(x, curve.iota2d, 2)[2] for x in expect]
+    cold = [inner._slot_state(x, curve.iota2d, 2) for x in expect]
+    assert curve._rates == [c[2] for c in cold]
+    assert len(curve._selects) == len(expect)
+    assert all(np.array_equal(s, c[0]) for s, c in zip(curve._selects, cold))

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from aoiplan.inner import assignment_weights
-from aoiplan.matching import AssignmentProblem, limit_assignments, min_cost_b_matching
+import aoiplan.inner as inner
+import aoiplan.matching as matching
+from aoiplan.inner import _slot_limits, assignment_weights
+from aoiplan.matching import AssignmentProblem, _certified, min_cost_b_matching
 from aoiplan.oracle import oracle_matching
+from aoiplan.timing import build_graph
+
+from conftest import synthetic_profile
 
 
 def _assert_feasible(assignment, cap):
@@ -130,15 +135,15 @@ def test_rejects_bad_problems():
 
 def test_limits_below_activation_are_empty():
     iota = np.array([[2.0, 3.0], [4.0, 5.0]])
-    lo, hi = limit_assignments(1.0, lambda lv: assignment_weights(lv, iota), 1)
-    assert lo.select.sum() == 0 and hi.select.sum() == 0
+    lim = _slot_limits(1.0, iota, 1)
+    assert lim.a_minus.sum() == 0 and lim.a_plus.sum() == 0
 
 
 def test_limits_coincide_away_from_critical():
     iota = np.array([[1.0, 3.0], [2.5, 9.0]])
-    lo, hi = limit_assignments(2.0, lambda lv: assignment_weights(lv, iota), 1)
-    assert np.array_equal(lo.select, hi.select)
-    assert lo.select[0, 0] == 1
+    lim = _slot_limits(2.0, iota, 1)
+    assert np.array_equal(lim.a_minus, lim.a_plus)
+    assert lim.a_minus[0, 0] == 1
 
 
 def test_limits_split_at_constructed_tie():
@@ -166,10 +171,124 @@ def test_limits_split_at_constructed_tie():
             hi = mid
     critical = 0.5 * (lo + hi)
 
-    a_minus, a_plus = limit_assignments(critical, weights, cap)
-    assert not np.array_equal(a_minus.select, a_plus.select)
-    assert a_minus.select.sum() == 1 and a_plus.select.sum() == 2
+    lim = _slot_limits(critical, iota, cap)
+    assert not np.array_equal(lim.a_minus, lim.a_plus)
+    assert lim.a_minus.sum() == 1 and lim.a_plus.sum() == 2
     w_at = weights(critical)
-    obj_minus = float(np.sum(w_at[a_minus.select.astype(bool)]))
-    obj_plus = float(np.sum(w_at[a_plus.select.astype(bool)]))
+    obj_minus = float(np.sum(w_at[lim.a_minus]))
+    obj_plus = float(np.sum(w_at[lim.a_plus]))
     assert obj_minus == pytest.approx(obj_plus, abs=1e-9)
+
+
+# ---------------------------------------------------------------- warm-start hints
+
+def _assert_same_as_cold(prob, hint):
+    cold = min_cost_b_matching(prob)
+    warm = min_cost_b_matching(prob, hint=hint)
+    assert warm.select.dtype == cold.select.dtype
+    assert np.array_equal(warm.select, cold.select)
+    assert warm.total_weight == cold.total_weight
+
+
+def _candidate_hints(rng, answer, neighbour, cap):
+    N, K = answer.shape
+    over = np.zeros((N, K), dtype=np.int8)
+    over[0, : min(K, cap + 1)] = 1
+    shared = answer.copy()
+    shared[:, int(rng.integers(K))] = 1            # duplicated column
+    positive = answer.copy()
+    positive[N - 1, K - 1] = 1                     # usually a non-negative or shared entry
+    return [answer, neighbour, np.zeros((N, K), dtype=np.int8),
+            (rng.random((N, K)) < 0.3).astype(np.int8), over, shared, positive]
+
+
+def _random_level_slot(rng):
+    """Random floors, some with duplicated rows or columns (exact ties)."""
+    N, K = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+    iota = rng.uniform(0.2, 2.0, size=(N, K))
+    if N > 1 and rng.random() < 0.3:
+        iota[1] = iota[0]
+    if K > 1 and rng.random() < 0.3:
+        iota[:, 1] = iota[:, 0]
+    return iota, int(rng.integers(1, 4))
+
+
+def test_hint_never_changes_the_result():
+    rng = np.random.default_rng(31)
+    accepted = 0
+    for trial in range(300):
+        iota, cap = _random_level_slot(rng)
+        level = float(rng.uniform(0.5, 3.0))
+        w = assignment_weights(level, iota)
+        if rng.random() < 0.3:  # entries within +-1e-13 of zero
+            mask = rng.random(w.shape) < 0.3
+            w = np.where(mask, rng.uniform(-1e-13, 1e-13, size=w.shape), w)
+        prob = AssignmentProblem(w, cap)
+        answer = min_cost_b_matching(prob).select
+        near = assignment_weights(level * (1.0 + float(rng.uniform(-1e-3, 1e-3))), iota)
+        neighbour = min_cost_b_matching(AssignmentProblem(near, cap)).select
+        for hint in _candidate_hints(rng, answer, neighbour, cap):
+            _assert_same_as_cold(prob, hint)
+        accepted += _certified(w, cap, answer)
+    assert accepted >= 150  # 227 of 300 at this seed: the certificate does not refuse wholesale
+
+
+def test_hint_refused_unless_feasible_and_strictly_negative():
+    w = np.array([[-3.0, -1.0, 0.0], [-2.0, -2.5, -1.0]])
+    best = min_cost_b_matching(AssignmentProblem(w, 1)).select
+    assert _certified(w, 1, best)
+    over = best.copy()
+    over[1] = [0, 1, 1]                            # row 1 above its cap
+    shared = best.copy()
+    shared[:, 0] = 1                               # column 0 given twice
+    zero = best.copy()
+    zero[0] = [0, 0, 1]                            # a zero-weight entry
+    for bad in (over, shared, zero, best[:, :2], 2 * best):
+        assert not _certified(w, 1, bad)
+    assert not _certified(w, 1, np.zeros_like(best))  # not optimal
+
+
+def test_hint_refused_on_exact_ties():
+    w = np.array([[-2.0, -2.0], [-2.0, -2.0], [-1.0, -3.0]])
+    answer = min_cost_b_matching(AssignmentProblem(w, 1)).select
+    assert not _certified(w, 1, answer)            # row 0 and row 1 swap for free
+    _assert_same_as_cold(AssignmentProblem(w, 1), answer[[1, 0, 2]])
+
+
+def test_near_tie_slot_hints_yield_cold_answers():
+    """A slot whose kernel flips between two matchings over a 4e-10
+    relative band of levels: every hint must give the cold answer."""
+    iota = synthetic_profile(100, N=3, K=4, L=3).iota[:, :, 1]
+    c = 0.1306607475
+    levels = np.linspace(c * (1.0 - 2e-10), c * (1.0 + 2e-10), 1001)
+    probs = [AssignmentProblem(assignment_weights(x, iota), 1) for x in levels]
+    colds = [min_cost_b_matching(p).select for p in probs]
+    distinct = {s.tobytes(): s for s in colds}
+    flips = sum(not np.array_equal(a, b) for a, b in zip(colds, colds[1:]))
+    assert len(distinct) == 2 and flips >= 20
+    for prob in probs:
+        for hint in distinct.values():
+            _assert_same_as_cold(prob, hint)
+
+
+def test_warm_starts_skip_most_flow_solves(small_scenario, small_profile, monkeypatch):
+    counts = {"matchings": 0, "ssp": 0}
+    kernel, ssp = inner.min_cost_b_matching, matching._ssp
+
+    def counting_kernel(*args, **kwargs):
+        counts["matchings"] += 1
+        return kernel(*args, **kwargs)
+
+    def counting_ssp(*args):
+        counts["ssp"] += 1
+        return ssp(*args)
+
+    monkeypatch.setattr(inner, "min_cost_b_matching", counting_kernel)
+    monkeypatch.setattr(matching, "_ssp", counting_ssp)
+    seen = []
+    for _ in range(2):
+        counts.update(matchings=0, ssp=0)
+        build_graph(small_scenario, small_profile, rb_cap=1)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert 0 < seen[0]["ssp"] * 10 < seen[0]["matchings"]

@@ -66,6 +66,14 @@ def test_hand_built_dp_example():
     assert plan.total_energy == pytest.approx(14.0)
 
 
+def test_binary_energy_sums_like_total_energy():
+    # builtin sum compensates rounding on Python >= 3.12, where ten 0.1
+    # legs would sum to 1.0 against the DP's 0.9999999999999999
+    g = graph_from_weights(horizon=10, aoi_bound=1, weights={(i, i + 1): 0.1 for i in range(1, 11)})
+    plan = shortest_path(g)
+    assert plan.binary_energy == plan.total_energy == 0.9999999999999999
+
+
 def test_lowering_an_edge_never_raises_total():
     weights = {(1, 2): 5.0, (2, 3): 5.0, (3, 4): 5.0, (4, 5): 5.0,
                (1, 3): 7.0, (3, 5): 7.0, (2, 4): 7.0}
