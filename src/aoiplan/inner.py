@@ -43,6 +43,21 @@ speed, never results.  When the hint is returned it is the same array
 object, so a run of equal selections is stored once.  The cap solve's
 bisection and the one-sided limits are warm-started the same way.
 
+Most probes need no matching at all.  When two adjacent solved levels
+s < q hold the same selection, the gap between them is checked once: no
+floor may lie inside it, and the selection must pass the kernel's
+certificate at both ends with an extra margin covering the curvature of
+the matching cost in the level (see :mod:`aoiplan.matching`).  A gap
+that passes is a certified piece: the kernel returns that selection at
+every level strictly inside it, so a probe there is priced from the
+selection with the very float operations that follow the kernel in
+:func:`_slot_state`, and its bits are those of a solve.  A priced level
+is recorded like a solved one, so bounds stay tight; it splits a
+certified piece into two certified halves, while any other gap splits
+into two unchecked ones.  The cap solve's bisection certifies its own
+bracket the same way, and a one-sided limit whose side falls inside a
+certified piece takes the piece's selection.
+
 The bounds rest on monotonicity: the optimal rate is non-decreasing in
 the level, being -1/ln2 times the derivative of the concave optimal
 matching cost (the cost of a fixed matching M falls at rate
@@ -78,7 +93,7 @@ import numpy as np
 
 from .channel import ChannelProfile
 from .errors import BinaryRoundingError
-from .matching import AssignmentProblem, min_cost_b_matching
+from .matching import AssignmentProblem, _certified, _stop_tol, min_cost_b_matching
 from .numeric import seq_sum
 
 LN2 = math.log(2.0)
@@ -88,6 +103,8 @@ POWER_REL_TOL = 1e-9   # power-cap tolerance, relative
 BRACKET_REL_TOL = 1e-13
 MAX_BISECT = 200
 CURVE_EPS = 1e-10      # assumed kernel suboptimality per RB and rate rounding, relative
+PIECE_FLOOR_GUARD = 1e-6   # relative band below a piece that must hold no floor
+PIECE_ROUNDING = 2.0 ** -40  # piece margin for rounding, per RB, relative to level and max|w|
 
 __all__ = [
     "IntervalSpec",
@@ -95,8 +112,6 @@ __all__ = [
     "Infeasible",
     "water_fill",
     "assignment_weights",
-    "extended_power",
-    "extended_rate",
     "solve_slot_cap",
     "SlotCurve",
     "solve_interval",
@@ -177,13 +192,46 @@ def assignment_weights(level, iota):
     return power - LN2 * float(level) * rate
 
 
-def _slot_state(level, iota2d, cap, hint=None):
-    """Kernel selection at ``level`` with its assigned power and rate."""
+def _slot_state(level, iota2d, cap, hint=None, priced=False):
+    """Kernel selection at ``level`` with its assigned power and rate.
+
+    With ``priced`` the hint is the selection of a certified piece around
+    ``level``, which the kernel is known to return, and no matching runs.
+    """
     power, rate = water_fill(level, iota2d)
-    w = power - LN2 * float(level) * rate
-    select = min_cost_b_matching(AssignmentProblem(w, cap), hint=hint).select
+    if priced:
+        select = hint
+    else:
+        w = power - LN2 * float(level) * rate
+        select = min_cost_b_matching(AssignmentProblem(w, cap), hint=hint).select
     sel = select.astype(bool)
     return select, float(power[sel].sum()), float(rate[sel].sum())
+
+
+def _same(a, b) -> bool:
+    return a is b or a.tobytes() == b.tobytes()
+
+
+def _piece_certified(iota2d, cap, s, q, select) -> bool:
+    """Whether the kernel returns ``select`` at every level strictly
+    between ``s < q``, two levels at which it returned ``select``.
+
+    No floor may lie in ``(s * (1 - PIECE_FLOOR_GUARD), q)``, so every
+    entry keeps its sign across the gap (the band below ``s`` keeps the
+    weights of entries just turned active clear of rounding to zero), and
+    ``select`` must pass the certificate at both ends with the extra
+    margin the matching module derives: the curvature term
+    ``(q - s)**2 / (8 s)``, the certificate's own margin at ``q`` and
+    room for rounding.
+    """
+    if ((iota2d > s * (1.0 - PIECE_FLOOR_GUARD)) & (iota2d < q)).any():
+        return False
+    w_q = assignment_weights(q, iota2d)
+    K = iota2d.shape[1]
+    extra = ((q - s) ** 2 / (8.0 * s) + 4.0 * K * _stop_tol(w_q)
+             + PIECE_ROUNDING * K * (1.0 + q + float(np.abs(w_q).max())))
+    return (_certified(assignment_weights(s, iota2d), cap, select, extra)
+            and _certified(w_q, cap, select, extra))
 
 
 @dataclass
@@ -196,42 +244,33 @@ class _SlotLimits:
     r_plus: float
 
 
-def _slot_limits(level, iota2d, cap, rel_eps=1e-7, abs_floor=1e-12, hint=None) -> _SlotLimits:
+def _slot_limits(level, iota2d, cap, rel_eps=1e-7, abs_floor=1e-12, hint=None,
+                 piece=None) -> _SlotLimits:
     """One-sided limit assignments at ``level``, valued at ``level`` itself.
 
     Evaluates the matching at level*(1 -/+ eps) with a relative
     perturbation (absolute floor guards level ~ 0), approximating the
     one-sided limits at a critical point; away from criticals both sides
     coincide.  ``hint`` warm-starts the lower side, whose selection
-    warm-starts the upper one.
+    warm-starts the upper one.  ``piece(side)`` optionally gives the
+    selection of a certified piece holding ``side``, or None; a side with
+    one takes it and runs no matching.
     """
     power, rate = water_fill(level, iota2d)
     eps = max(abs(level) * rel_eps, abs_floor)
     out = []
     select = hint
     for side in (level - eps, level + eps):
-        w = assignment_weights(side, iota2d)
-        select = min_cost_b_matching(AssignmentProblem(w, cap), hint=select).select
+        known = piece(side) if piece is not None else None
+        if known is not None:
+            select = known
+        else:
+            w = assignment_weights(side, iota2d)
+            select = min_cost_b_matching(AssignmentProblem(w, cap), hint=select).select
         sel = select.astype(bool)
         out.append((sel, float(power[sel].sum()), float(rate[sel].sum())))
     (am, pm, rm), (ap, pp, rp) = out
     return _SlotLimits(am, ap, pm, pp, rm, rp)
-
-
-def extended_power(level, xi, iota2d, cap):
-    """Mixed-limit slot power (1-xi) * P(level-) + xi * P(level+)."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
-    lim = _slot_limits(level, iota2d, cap)
-    return (1.0 - xi) * lim.p_minus + xi * lim.p_plus
-
-
-def extended_rate(level, xi, iota2d, cap):
-    """Mixed-limit slot rate (1-xi) * R(level-) + xi * R(level+)."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
-    lim = _slot_limits(level, iota2d, cap)
-    return (1.0 - xi) * lim.r_minus + xi * lim.r_plus
 
 
 @dataclass
@@ -246,22 +285,35 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> _SlotCap:
     """Find the slot's cap level: smallest level whose assigned power
     reaches the per-slot budget, with the mixing coefficient that lands on
     the budget exactly when the crossing happens at a matching switch.
+
+    Each probe is warm-started from the previous one.  Once both bracket
+    ends have been solved to the same selection and the bracket passes
+    :func:`_piece_certified`, every later probe lies inside that certified
+    piece and is priced without a matching.
     """
     lo = float(iota2d.min())
     hi = float(iota2d.max()) + float(power_cap)  # assigned power >= hi - max(iota) there
     tol_p = POWER_REL_TOL * power_cap
-    select = None  # each probe is warm-started from the previous one
+    select = sel_lo = sel_hi = None  # latest probe's selection; the bracket ends'
+    piece = None                     # (lo, hi, selection) of a certified bracket
     for _ in range(MAX_BISECT):
         if hi - lo <= max(BRACKET_REL_TOL * hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        select, p_mid, _ = _slot_state(mid, iota2d, cap, select)
+        select, p_mid, _ = _slot_state(mid, iota2d, cap, select, piece is not None)
         if p_mid >= power_cap:
-            hi = mid
+            hi, sel_hi = mid, select
         else:
-            lo = mid
+            lo, sel_lo = mid, select
+        if (piece is None and sel_lo is not None and sel_hi is not None
+                and _same(sel_lo, sel_hi) and _piece_certified(iota2d, cap, lo, hi, select)):
+            piece = (lo, hi, select)
+
+    def piece_select(side):
+        return piece[2] if piece is not None and piece[0] < side < piece[1] else None
+
     level = hi
-    lim = _slot_limits(level, iota2d, cap, hint=select)
+    lim = _slot_limits(level, iota2d, cap, hint=select, piece=piece_select)
     gap = lim.p_plus - lim.p_minus
     if gap > tol_p and lim.p_minus <= power_cap <= lim.p_plus:
         xi = (power_cap - lim.p_minus) / gap
@@ -276,10 +328,11 @@ class SlotCurve:
     far, for one (slot, load cap, power cap); shared by every interval
     through the slot.
 
-    Bounds carry the near-optimality slack of the module docstring.
-    Reads and inserts are guarded by a lock so concurrent interval solves
-    can share a curve; any interleaving yields the same decisions, since
-    every bound is valid.
+    Bounds carry the near-optimality slack of the module docstring, and
+    probes inside certified pieces are priced, not solved.  Reads and
+    inserts are guarded by a lock so concurrent interval solves can share
+    a curve; any interleaving yields the same decisions, since every bound
+    is valid and every certified piece stays certified.
     """
 
     def __init__(self, iota2d: np.ndarray, cap: int, power_cap: float):
@@ -292,6 +345,8 @@ class SlotCurve:
         self._levels = []   # sorted solved levels
         self._rates = []    # kernel rate at each solved level
         self._selects = []  # kernel selection at each solved level
+        self._pieces = []   # gap below each solved level: True certified piece,
+        #                     False not a piece, None unchecked
         self._lock = threading.Lock()
 
     def _slack(self, level: float) -> float:
@@ -328,18 +383,49 @@ class SlotCurve:
                 j -= 1
             return self._selects[j] if j >= 0 else None
 
+    def piece_select(self, level: float):
+        """Selection of the certified piece strictly holding ``level``, or None.
+
+        A gap between two solved levels with the same selection is checked
+        by :func:`_piece_certified` the first time a level falls inside it.
+        """
+        with self._lock:
+            levels = self._levels
+            j = bisect_left(levels, level)
+            if not 0 < j < len(levels) or levels[j] == level:
+                return None
+            s, q, select, status = levels[j - 1], levels[j], self._selects[j - 1], self._pieces[j]
+            if status is None and not _same(select, self._selects[j]):
+                status = self._pieces[j] = False
+        if status is None:
+            status = _piece_certified(self.iota2d, self.cap, s, q, select)
+            with self._lock:
+                j = bisect_left(self._levels, q)
+                if self._levels[j - 1] == s:  # still adjacent
+                    self._pieces[j] = status
+        return select if status else None
+
     def solve(self, level: float) -> float:
-        """Kernel rate at ``level``, recorded for later bounds."""
-        hint = self.nearest_select(level)
-        select, _, rate = _slot_state(level, self.iota2d, self.cap, hint)
-        if hint is not None and select.tobytes() == hint.tobytes():
+        """Kernel rate at ``level``, recorded for later bounds; priced
+        without a matching inside a certified piece."""
+        known = self.piece_select(level)
+        hint = self.nearest_select(level) if known is None else known
+        select, _, rate = _slot_state(level, self.iota2d, self.cap, hint, known is not None)
+        if hint is not None and _same(select, hint):
             select = hint  # equal selections are stored once
         with self._lock:
-            j = bisect_left(self._levels, level)
-            if j == len(self._levels) or self._levels[j] != level:
-                self._levels.insert(j, level)
+            levels, pieces = self._levels, self._pieces
+            j = bisect_left(levels, level)
+            if j == len(levels) or levels[j] != level:
+                # a certified piece splits into certified halves, any other
+                # gap into unchecked ones
+                status = True if j < len(levels) and pieces[j] else None
+                if j < len(levels):
+                    pieces[j] = status
+                levels.insert(j, level)
                 self._rates.insert(j, rate)
                 self._selects.insert(j, select)
+                pieces.insert(j, status)
         return rate
 
 
@@ -498,7 +584,8 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
             xi_max[t] = caps[t].xi
         else:
             limits.append(_slot_limits(mu, iota3d[:, :, t], spec.rb_cap,
-                                       hint=slots[t].nearest_select(mu)))
+                                       hint=slots[t].nearest_select(mu),
+                                       piece=slots[t].piece_select))
 
     def mixed_rate(xi):
         total = 0.0

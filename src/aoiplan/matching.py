@@ -20,6 +20,25 @@ than ``margin`` above the hint, so the flow solver's result, being within
 ``K * stop_tol`` of the optimum, is the hint itself.  A hint within the
 margin of a tie is refused and the flow solver runs, so every output bit
 is the same with or without hints.
+
+Certified pieces.  The same certificate, with an extra margin, vouches
+for one selection H over a whole gap of levels [s, q].  On an active
+entry (level above its floor iota) the weight is
+``w = phi(mu) + mu*ln(iota) - iota`` with ``phi(mu) = mu - mu*ln(mu)``, so
+a simple residual cycle that adds ``d`` entries net, d in {-1, 0, +1}
+(only the sink-to-source link changes the flow value), costs
+``d*phi(mu) + affine(mu)``.  For d = 0 that is affine and for d = +1
+concave, so its minimum over [s, q] lies at an endpoint; for d = -1 it is
+convex with second derivative ``1/mu <= 1/s``, so it never falls more than
+``(q - s)**2 / (8*s)`` below its smaller endpoint value.  When no floor
+lies inside the gap every entry keeps its sign across it, so the residual
+graph, and with it the set of cycles, is the same at every level of the
+gap.  If H passes the certificate at both ends with ``extra`` at least
+that curvature term plus ``4 * K * stop_tol`` at q plus room for
+rounding, every cycle costs more than ``4 * K * stop_tol`` at every level
+in between (``max|w|``, hence ``stop_tol``, grows with the level), which
+is the per-level certificate; so the kernel returns H there, and H can be
+priced without solving.
 """
 
 from __future__ import annotations
@@ -152,7 +171,7 @@ def _ssp(weights: np.ndarray, cap: int) -> np.ndarray:
     return select
 
 
-def _certified(w: np.ndarray, cap: int, hint: np.ndarray) -> bool:
+def _certified(w: np.ndarray, cap: int, hint: np.ndarray, extra: float = 0.0) -> bool:
     """Whether ``hint`` is the selection ``_ssp(w, cap)`` returns.
 
     The residual graph of ``hint`` has nodes source, sink, the N base
@@ -171,6 +190,8 @@ def _certified(w: np.ndarray, cap: int, hint: np.ndarray) -> bool:
     ``margin`` above it, while ``_ssp`` stops within ``K * stop_tol`` of
     the optimum, so ``_ssp`` would return the hint itself.  Hints that pick
     a non-negative entry, share a column or overload a row are refused.
+    ``extra`` raises the margin, for certifying a whole gap of levels from
+    its two ends (see the module docstring).
     """
     N, K = w.shape
     if hint.shape != (N, K):
@@ -225,7 +246,7 @@ def _certified(w: np.ndarray, cap: int, hint: np.ndarray) -> bool:
                 c = dim + dm[j]
                 if c < di[j]:
                     di[j] = c
-    margin = 4.0 * K * _stop_tol(w)
+    margin = 4.0 * K * _stop_tol(w) + extra
     for i in nodes:
         if dist[i][i] <= margin:
             return False

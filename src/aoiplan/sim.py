@@ -104,11 +104,13 @@ class PolicyPlan:
         return int(self.full_assignment().sum(axis=1).max())
 
 
-def _leg_from_solution(start, end, target, sol) -> Leg:
+def _leg_from_solution(scenario: Scenario, start, end, target, sol) -> Leg:
+    """Leg carrying ``sol``; an infeasible one carries an empty allocation."""
     if isinstance(sol, Infeasible):
+        shape = (scenario.num_bs_N, scenario.num_rb_K, end - start)
         return Leg(
             start=start, end=end, target=target,
-            assignment=np.zeros(0), power=np.zeros(0),
+            assignment=np.zeros(shape, dtype=np.int8), power=np.zeros(shape),
             planned_energy=math.inf, spent_energy=0.0, feasible=False,
         )
     return Leg(
@@ -116,14 +118,6 @@ def _leg_from_solution(start, end, target, sol) -> Leg:
         assignment=sol.assignment, power=sol.power,
         planned_energy=sol.energy, spent_energy=sol.binary_energy, feasible=True,
     )
-
-
-def _fix_infeasible_leg_shapes(plan: PolicyPlan, N: int, K: int):
-    for leg in plan.legs:
-        if not leg.feasible:
-            L = leg.end - leg.start
-            leg.assignment = np.zeros((N, K, L), dtype=np.int8)
-            leg.power = np.zeros((N, K, L))
 
 
 def policy_plan_from_sampling(plan: SamplingPlan, scenario: Scenario,
@@ -138,7 +132,7 @@ def policy_plan_from_sampling(plan: SamplingPlan, scenario: Scenario,
         success_mode="interval",
     )
     for (i, j), sol in zip(plan.legs, plan.solutions):
-        out.legs.append(_leg_from_solution(i, j, scenario.payload_threshold_vbar, sol))
+        out.legs.append(_leg_from_solution(scenario, i, j, scenario.payload_threshold_vbar, sol))
     return out
 
 
@@ -164,8 +158,7 @@ def baseline_periodic(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
     for i, j in zip(bounds[:-1], bounds[1:]):
         spec = IntervalSpec(start=i, end=j, rb_cap=rb_cap, rate_target=target,
                             power_cap=scenario.power_budget_pbar)
-        plan.legs.append(_leg_from_solution(i, j, target, solve_interval(spec, profile)))
-    _fix_infeasible_leg_shapes(plan, scenario.num_bs_N, scenario.num_rb_K)
+        plan.legs.append(_leg_from_solution(scenario, i, j, target, solve_interval(spec, profile)))
     return plan
 
 
@@ -181,8 +174,8 @@ def baseline_instantaneous(scenario: Scenario, profile: ChannelProfile, rb_cap: 
     for t in range(1, T + 1):
         spec = IntervalSpec(start=t, end=t + 1, rb_cap=rb_cap, rate_target=per_slot,
                             power_cap=scenario.power_budget_pbar)
-        plan.legs.append(_leg_from_solution(t, t + 1, per_slot, solve_interval(spec, profile)))
-    _fix_infeasible_leg_shapes(plan, scenario.num_bs_N, scenario.num_rb_K)
+        sol = solve_interval(spec, profile)
+        plan.legs.append(_leg_from_solution(scenario, t, t + 1, per_slot, sol))
     return plan
 
 
@@ -198,8 +191,7 @@ def baseline_average(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
     )
     spec = IntervalSpec(start=1, end=T + 1, rb_cap=rb_cap, rate_target=target,
                         power_cap=scenario.power_budget_pbar)
-    plan.legs.append(_leg_from_solution(1, T + 1, target, solve_interval(spec, profile)))
-    _fix_infeasible_leg_shapes(plan, scenario.num_bs_N, scenario.num_rb_K)
+    plan.legs.append(_leg_from_solution(scenario, 1, T + 1, target, solve_interval(spec, profile)))
     return plan
 
 
@@ -281,10 +273,15 @@ def _payload_per_slot(plan: PolicyPlan, profile: ChannelProfile,
     p = plan.full_power()
     if fading is None:
         rate = capacity_lower_bound(p, profile.gain, profile.shape, profile.noise_power)
-    else:
-        snr = p * profile.gain * fading / profile.noise_power
-        rate = np.log2(1.0 + snr)
-    return np.where(a, rate, 0.0).sum(axis=(0, 1))
+        return np.where(a, rate, 0.0).sum(axis=(0, 1))
+    return _realized_payload(a, p * profile.gain, fading, profile.noise_power)
+
+
+def _realized_payload(assigned: np.ndarray, power_gain: np.ndarray, fading: np.ndarray,
+                      noise_power: float) -> np.ndarray:
+    """Slot-wise assigned sum rate under one fading draw."""
+    rate = np.log2(1.0 + power_gain * fading / noise_power)
+    return np.where(assigned, rate, 0.0).sum(axis=(0, 1))
 
 
 @dataclass
@@ -311,7 +308,9 @@ def simulate(plan: PolicyPlan | SamplingPlan, profile: ChannelProfile,
     """Monte Carlo the realized delivery process of a plan.
 
     Replica r draws fading with the stream (seed, r), so replicas are
-    reproducible and independent of execution order.
+    reproducible and independent of execution order.  The plan's
+    assignment mask, power times gain and the Gamma scale are computed
+    once per call.
     """
     if isinstance(plan, SamplingPlan):
         if scenario is None:
@@ -321,13 +320,17 @@ def simulate(plan: PolicyPlan | SamplingPlan, profile: ChannelProfile,
         raise ValueError("replicas must be >= 1")
 
     exp_trace = expected_trace(plan, profile)
+    assigned = plan.full_assignment().astype(bool)
+    power_gain = plan.full_power() * profile.gain
+    scale = 1.0 / profile.shape
     ok = 0
     peaks = []
     traces = []
     for rep in range(replicas):
         rng = np.random.default_rng([seed, rep])
-        xi = rng.gamma(shape=profile.shape, scale=1.0 / profile.shape)
-        trace = _success_trace(plan, _payload_per_slot(plan, profile, xi))
+        xi = rng.gamma(shape=profile.shape, scale=scale)
+        payload = _realized_payload(assigned, power_gain, xi, profile.noise_power)
+        trace = _success_trace(plan, payload)
         peaks.append(trace.peak_age)
         if trace.peak_age <= plan.aoi_bound:
             ok += 1

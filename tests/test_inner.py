@@ -11,8 +11,6 @@ from aoiplan.inner import (
     Infeasible,
     IntervalSpec,
     SlotCurve,
-    extended_power,
-    extended_rate,
     solve_interval,
     solve_slot_cap,
     water_fill,
@@ -52,6 +50,22 @@ def test_water_fill_reference_point():
 
 
 # ---------------------------------------------------------------- extended functions
+
+def extended_power(level, xi, iota2d, cap):
+    """Mixed-limit slot power (1-xi) * P(level-) + xi * P(level+)."""
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError("xi must lie in [0, 1]")
+    lim = inner._slot_limits(level, iota2d, cap)
+    return (1.0 - xi) * lim.p_minus + xi * lim.p_plus
+
+
+def extended_rate(level, xi, iota2d, cap):
+    """Mixed-limit slot rate (1-xi) * R(level-) + xi * R(level+)."""
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError("xi must lie in [0, 1]")
+    lim = inner._slot_limits(level, iota2d, cap)
+    return (1.0 - xi) * lim.r_minus + xi * lim.r_plus
+
 
 def test_extended_boundaries_match_limits():
     iota = np.array([[1.0, 1.25], [1.21, 50.0]])
@@ -301,6 +315,89 @@ def test_slot_curve_bounds_settle_like_direct_sums():
                 assert got == (total >= vbar), (seed, mu, vbar, total)
             checked += 1
     assert checked == 1000
+
+
+# ---------------------------------------------------------------- certified pieces
+
+def _ulps(x, n):
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, math.inf if n > 0 else -math.inf))
+    return x
+
+
+def _pieces_of(curve):
+    """(s, q, selection) of every certified piece, after checking every gap."""
+    levels = list(curve._levels)
+    for s, q in zip(levels, levels[1:]):
+        curve.piece_select(0.5 * (s + q))
+    return [(s, q, curve._selects[j]) for j, (s, q) in enumerate(zip(levels, levels[1:]), 1)
+            if curve._pieces[j]]
+
+
+def test_certified_pieces_hold_the_cold_selection_inside():
+    """Inside every accepted piece, including a few ulps from either end,
+    the cold kernel returns the piece's selection, and pricing gives the
+    solve's bits; curves are seeded close to every matching switch."""
+    rng = np.random.default_rng(41)
+    accepted = 0
+    for trial in range(30):
+        N, K, cap = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
+        iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
+        curve = SlotCurve(iota, cap, 8.0)
+        lo, hi = float(iota.min()), curve.slot_cap.level
+        seeds = [float(x) for x in np.linspace(lo, hi, 25)[1:]]
+        for a, _ in _switch_levels(iota, cap, lo, hi, grid=40):
+            seeds += [a * (1.0 + sign * 10.0 ** -e) for sign in (-1, 1) for e in (3, 6, 9, 12)]
+        for x in seeds:
+            curve.solve(x)
+        for s, q, select in _pieces_of(curve):
+            accepted += 1
+            inside = [_ulps(s, k) for k in (1, 2, 3)] + [_ulps(q, -k) for k in (1, 2, 3)]
+            inside += [float(x) for x in np.linspace(s, q, 16)[1:-1]]
+            for x in inside:
+                assert s < x < q
+                cold = inner._slot_state(x, iota, cap)
+                assert np.array_equal(cold[0], select), (trial, s, q, x)
+                assert inner._slot_state(x, iota, cap, select, True)[1:] == cold[1:]
+    assert accepted >= 100
+
+
+def test_piece_refused_with_a_floor_inside_or_just_below():
+    iota = np.array([[1.0], [1.5]])
+    first = np.array([[1], [0]], dtype=np.int8)  # station 0 keeps the RB throughout
+    for x in (1.2, 1.5 * (1.0 + 5e-7), 1.5 * (1.0 + 2e-6), 1.6, 2.0):
+        assert np.array_equal(inner._slot_state(x, iota, 1)[0], first)
+    assert inner._piece_certified(iota, 1, 1.6, 2.0, first)
+    assert not inner._piece_certified(iota, 1, 1.2, 2.0, first)  # floor 1.5 inside
+    assert not inner._piece_certified(iota, 1, 1.5 * (1.0 + 5e-7), 2.0, first)
+    assert inner._piece_certified(iota, 1, 1.5 * (1.0 + 2e-6), 2.0, first)
+    curve = SlotCurve(iota, 1, 6.0)
+    for x in (1.2, 2.0):
+        curve.solve(x)
+    assert curve.piece_select(1.7) is None and curve._pieces[1] is False
+    curve.solve(1.6)
+    assert np.array_equal(curve.piece_select(1.8), first)
+    assert curve.piece_select(1.4) is None
+
+
+def test_no_certified_piece_spans_the_near_tie_band():
+    """The slot whose kernel flips between two matchings over a 4e-10
+    relative band of levels: no piece may be certified across it."""
+    iota = synthetic_profile(100, N=3, K=4, L=3).iota[:, :, 1]
+    c = 0.1306607475
+    curve = SlotCurve(iota, 1, 6.0)
+    band = [float(x) for x in np.linspace(c * (1.0 - 2e-10), c * (1.0 + 2e-10), 1001)]
+    grid = [float(x) for x in np.linspace(iota.min(), curve.slot_cap.level, 60)[1:]]
+    for x in grid + band + [c * (1.0 + e) for e in (-1e-3, -1e-6, -1e-8, 1e-8, 1e-6, 1e-3)]:
+        curve.solve(x)
+    colds = [inner._slot_state(x, iota, 1)[0] for x in band]
+    flips = [i for i in range(1000) if not np.array_equal(colds[i], colds[i + 1])]
+    assert len(flips) >= 20
+    first, last = band[flips[0]], band[flips[-1] + 1]
+    pieces = _pieces_of(curve)
+    assert len(pieces) >= 20  # away from the band, pieces are certified
+    for s, q, _ in pieces:
+        assert q <= first or s >= last, (s, q)
 
 
 def test_solve_interval_rejects_mismatched_curves():

@@ -272,8 +272,9 @@ def test_near_tie_slot_hints_yield_cold_answers():
 
 
 def test_warm_starts_skip_most_flow_solves(small_scenario, small_profile, monkeypatch):
-    counts = {"matchings": 0, "ssp": 0}
-    kernel, ssp = inner.min_cost_b_matching, matching._ssp
+    # probes priced inside certified pieces skip the flow solve too
+    counts = {"matchings": 0, "ssp": 0, "priced": 0}
+    kernel, ssp, state = inner.min_cost_b_matching, matching._ssp, inner._slot_state
 
     def counting_kernel(*args, **kwargs):
         counts["matchings"] += 1
@@ -283,12 +284,17 @@ def test_warm_starts_skip_most_flow_solves(small_scenario, small_profile, monkey
         counts["ssp"] += 1
         return ssp(*args)
 
+    def counting_state(*args):
+        counts["priced"] += len(args) > 4 and args[4]
+        return state(*args)
+
     monkeypatch.setattr(inner, "min_cost_b_matching", counting_kernel)
     monkeypatch.setattr(matching, "_ssp", counting_ssp)
+    monkeypatch.setattr(inner, "_slot_state", counting_state)
     seen = []
     for _ in range(2):
-        counts.update(matchings=0, ssp=0)
+        counts.update(matchings=0, ssp=0, priced=0)
         build_graph(small_scenario, small_profile, rb_cap=1)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert 0 < seen[0]["ssp"] * 10 < seen[0]["matchings"]
+    assert 0 < seen[0]["ssp"] * 10 < seen[0]["matchings"] + seen[0]["priced"]

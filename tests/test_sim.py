@@ -3,6 +3,8 @@ import pytest
 
 from aoiplan import build_profile
 from aoiplan.sim import (
+    _payload_per_slot,
+    _success_trace,
     age_aware_plan,
     baseline_average,
     baseline_instantaneous,
@@ -170,3 +172,32 @@ def test_replica_count_validation(feasible_setup):
     plan = age_aware_plan(s, prof, rb_cap=2)
     with pytest.raises(ValueError):
         simulate(plan, prof, replicas=0, seed=1)
+
+
+def test_simulate_traces_follow_the_documented_stream(feasible_setup):
+    s, prof = feasible_setup
+    for builder in (baseline_periodic, baseline_instantaneous):
+        plan = builder(s, prof, rb_cap=2)
+        report = simulate(plan, prof, replicas=6, seed=9, keep_traces=True)
+        assert len(report.traces) == 6
+        for rep, trace in enumerate(report.traces):
+            rng = np.random.default_rng([9, rep])
+            xi = rng.gamma(shape=prof.shape, scale=1.0 / prof.shape)
+            ref = _success_trace(plan, _payload_per_slot(plan, prof, xi))
+            assert np.array_equal(trace.age, ref.age)
+            assert np.array_equal(trace.success, ref.success)
+            assert np.array_equal(trace.cum_payload, ref.cum_payload)
+            assert trace.delivered == ref.delivered and trace.peak_age == ref.peak_age
+
+
+def test_infeasible_baseline_legs_have_full_shapes(feasible_setup):
+    s, prof = feasible_setup
+    N, K = s.num_bs_N, s.num_rb_K
+    plan = baseline_periodic(s, prof, rb_cap=1, rate_margin=1e6)
+    assert plan.legs and not any(leg.feasible for leg in plan.legs)
+    for leg in plan.legs:
+        shape = (N, K, leg.end - leg.start)
+        assert leg.assignment.shape == shape and leg.assignment.dtype == np.int8
+        assert leg.power.shape == shape and leg.power.dtype == float
+        assert not leg.assignment.any() and not leg.power.any()
+    assert plan.full_assignment().shape == (N, K, s.horizon_T)

@@ -172,6 +172,35 @@ def test_slot_cap_solved_once_per_slot(small_scenario, small_profile, monkeypatc
         assert calls == [cap] * small_scenario.horizon_T
 
 
+def test_piece_counts_repeat_exactly(small_scenario, small_profile, monkeypatch):
+    counts = {"matchings": 0, "checks": 0, "priced": 0}
+    kernel, check, state = (aoiplan.inner.min_cost_b_matching, aoiplan.inner._piece_certified,
+                            aoiplan.inner._slot_state)
+
+    def counting_kernel(*args, **kwargs):
+        counts["matchings"] += 1
+        return kernel(*args, **kwargs)
+
+    def counting_check(*args):
+        counts["checks"] += 1
+        return check(*args)
+
+    def counting_state(*args):
+        counts["priced"] += len(args) > 4 and args[4]
+        return state(*args)
+
+    monkeypatch.setattr(aoiplan.inner, "min_cost_b_matching", counting_kernel)
+    monkeypatch.setattr(aoiplan.inner, "_piece_certified", counting_check)
+    monkeypatch.setattr(aoiplan.inner, "_slot_state", counting_state)
+    seen = []
+    for _ in range(2):
+        counts.update(matchings=0, checks=0, priced=0)
+        build_graph(small_scenario, small_profile, rb_cap=1)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["checks"] > 0 and seen[0]["priced"] > seen[0]["matchings"]
+
+
 def test_jobs_do_not_change_results(small_scenario, small_profile):
     g1 = build_graph(small_scenario, small_profile, rb_cap=2, jobs=1)
     g4 = build_graph(small_scenario, small_profile, rb_cap=2, jobs=4)
