@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ScenarioValidationError
 from .scenario import Scenario
 
 __all__ = [
     "ChannelProfile",
-    "FadingSample",
     "pathloss_db",
     "los_probability",
     "digamma",
@@ -146,7 +146,8 @@ class ChannelProfile:
 
     gain, shape, iota are (N, K, T) tensors; ``iota = noise / (beta * gain)``
     is the per-entry water-filling floor.  Arrays are frozen (read-only)
-    after construction so profiles can be shared across solver threads.
+    after construction, so no solve or replica that shares a profile can
+    alter it for the others.
     """
 
     gain: np.ndarray
@@ -177,19 +178,15 @@ class ChannelProfile:
         shape = np.ascontiguousarray(shape, dtype=float)
         if gain.ndim != 3 or np.any(gain <= 0.0):
             raise ValueError("gain must be an (N, K, T) tensor of positives")
-        iota = noise_power / (fading_severity(shape) * gain)
+        iota = _channel_floor(gain, shape, noise_power)
         return cls(gain=gain, shape=shape, iota=iota, noise_power=float(noise_power), seed=seed)
 
 
-@dataclass
-class FadingSample:
-    """One small-scale fading realization, unit-mean Gamma per entry."""
-
-    realization: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.realization <= 0.0):
-            raise ValueError("fading draws must be > 0")
+def _channel_floor(gain, shape, noise_power):
+    """Water-filling floor noise / (beta(shape) * gain); inf where the
+    severity of a very low shape is too small for a float floor."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return noise_power / (fading_severity(shape) * gain)
 
 
 def _correlated_shadowing(rng, sigma_db, step_dist_m, corr_dist_m, num_bs, horizon):
@@ -219,7 +216,9 @@ def build_profile(scenario: Scenario, seed: int) -> ChannelProfile:
     Draw order (fixed): blockage uniforms (N, T), shadowing normals (N, T),
     then Gamma shapes.  Blockage and shadowing are shared across resource
     blocks; the Gamma shape is drawn once per (BS, RB) and held over time
-    unless the scenario requests per-slot redraws.
+    unless the scenario requests per-slot redraws.  Raises
+    :class:`ScenarioValidationError` when the shapes are so low that the
+    channel floors overflow.
     """
     rng = np.random.default_rng(seed)
     traj = scenario.trajectory_array()      # (T, 3)
@@ -250,14 +249,26 @@ def build_profile(scenario: Scenario, seed: int) -> ChannelProfile:
     else:
         shape = np.repeat(rng.uniform(lo, hi, size=(N, K))[:, :, None], T, axis=2)
 
-    return ChannelProfile.from_arrays(gain, shape, scenario.noise_power_delta2, seed=seed)
+    iota = _channel_floor(gain, shape, scenario.noise_power_delta2)
+    if not np.isfinite(iota).all():
+        raise ScenarioValidationError([
+            f"kappa_range {tuple(scenario.kappa_range)} is too low: the fading severity "
+            "exp(psi(kappa))/kappa of its Gamma shapes is so small that channel floors "
+            "overflow to infinity"
+        ])
+    return ChannelProfile(gain=gain, shape=shape, iota=iota,
+                          noise_power=float(scenario.noise_power_delta2), seed=seed)
 
 
-def sample_fading(profile: ChannelProfile, seed: int) -> FadingSample:
-    """Draw independent unit-mean Gamma fading per entry; deterministic per seed."""
+def sample_fading(profile: ChannelProfile, seed) -> np.ndarray:
+    """Independent unit-mean Gamma fading per (BS, RB, slot) entry.
+
+    Draws from ``numpy.random.default_rng(seed)``, where ``seed`` is an int
+    or a sequence of ints, so one seed always gives the same array.  Draws
+    at small shapes can underflow to exactly 0, a deep fade.
+    """
     rng = np.random.default_rng(seed)
-    xi = rng.gamma(shape=profile.shape, scale=1.0 / profile.shape)
-    return FadingSample(realization=xi)
+    return rng.gamma(shape=profile.shape, scale=1.0 / profile.shape)
 
 
 # ----------------------------------------------------------------------

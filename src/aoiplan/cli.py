@@ -140,8 +140,7 @@ def cmd_plan(args) -> int:
     scenario, profile, seed = _load_inputs(args)
     if args.epsilon_theta < 1:
         raise ScenarioValidationError([f"--epsilon-theta must be >= 1, got {args.epsilon_theta}"])
-    graph = build_graph(scenario, profile, args.epsilon_theta,
-                        jobs=args.jobs, rate_margin=args.margin)
+    graph = build_graph(scenario, profile, args.epsilon_theta, rate_margin=args.margin)
     if args.graph_csv:
         export_graph_csv(graph, args.graph_csv)
     plan = shortest_path(graph)
@@ -162,7 +161,7 @@ def cmd_plan(args) -> int:
 
 def cmd_frontier(args) -> int:
     scenario, profile, _ = _load_inputs(args)
-    frontier = pareto.compute_frontier(scenario, profile, jobs=args.jobs)
+    frontier = pareto.compute_frontier(scenario, profile)
     pareto.export_frontier_csv(frontier, args.out, scenario)
     print(
         f"frontier: {len(frontier)} points over load caps "
@@ -358,14 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--epsilon-theta", type=int, required=True, help="per-BS RB load cap")
     p.add_argument("--margin", type=float, default=1.0, help="rate-target margin >= 1")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent edge solves")
     p.add_argument("--out", help="plan file destination")
     p.add_argument("--graph-csv", help="also dump the timing graph edges")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("frontier", help="sweep the load cap and export the frontier")
     common(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="frontier CSV destination")
     p.set_defaults(func=cmd_frontier)
 

@@ -85,7 +85,6 @@ level is unbounded, so the slot gets solved.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -329,10 +328,7 @@ class SlotCurve:
     through the slot.
 
     Bounds carry the near-optimality slack of the module docstring, and
-    probes inside certified pieces are priced, not solved.  Reads and
-    inserts are guarded by a lock so concurrent interval solves can share
-    a curve; any interleaving yields the same decisions, since every bound
-    is valid and every certified piece stays certified.
+    probes inside certified pieces are priced, not solved.
     """
 
     def __init__(self, iota2d: np.ndarray, cap: int, power_cap: float):
@@ -347,7 +343,6 @@ class SlotCurve:
         self._selects = []  # kernel selection at each solved level
         self._pieces = []   # gap below each solved level: True certified piece,
         #                     False not a piece, None unchecked
-        self._lock = threading.Lock()
 
     def _slack(self, level: float) -> float:
         """Kernel suboptimality bound at ``level``, divided by ln 2."""
@@ -359,29 +354,27 @@ class SlotCurve:
         """(lower, upper) bounds on the kernel rate at ``level`` from the
         nearest solved level on each side; -inf or inf where there is none.
         """
-        with self._lock:
-            levels, rates = self._levels, self._rates
-            j = bisect_left(levels, level)
-            if j < len(levels) and levels[j] == level:
-                return rates[j], rates[j]
-            own = self._slack(level)
-            lo = hi = None
-            if j:
-                s, r = levels[j - 1], rates[j - 1]
-                lo = r - (own + self._slack(s)) / (level - s) - CURVE_EPS * (1.0 + r)
-            if j < len(levels):
-                s, r = levels[j], rates[j]
-                hi = r + (own + self._slack(s)) / (s - level) + CURVE_EPS * (1.0 + r)
-        return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+        levels, rates = self._levels, self._rates
+        j = bisect_left(levels, level)
+        if j < len(levels) and levels[j] == level:
+            return rates[j], rates[j]
+        own = self._slack(level)
+        lo, hi = -math.inf, math.inf
+        if j:
+            s, r = levels[j - 1], rates[j - 1]
+            lo = r - (own + self._slack(s)) / (level - s) - CURVE_EPS * (1.0 + r)
+        if j < len(levels):
+            s, r = levels[j], rates[j]
+            hi = r + (own + self._slack(s)) / (s - level) + CURVE_EPS * (1.0 + r)
+        return lo, hi
 
     def nearest_select(self, level: float):
         """Kernel selection at the solved level nearest ``level``, or None."""
-        with self._lock:
-            levels = self._levels
-            j = bisect_left(levels, level)
-            if j == len(levels) or (j and level - levels[j - 1] < levels[j] - level):
-                j -= 1
-            return self._selects[j] if j >= 0 else None
+        levels = self._levels
+        j = bisect_left(levels, level)
+        if j == len(levels) or (j and level - levels[j - 1] < levels[j] - level):
+            j -= 1
+        return self._selects[j] if j >= 0 else None
 
     def piece_select(self, level: float):
         """Selection of the certified piece strictly holding ``level``, or None.
@@ -389,21 +382,15 @@ class SlotCurve:
         A gap between two solved levels with the same selection is checked
         by :func:`_piece_certified` the first time a level falls inside it.
         """
-        with self._lock:
-            levels = self._levels
-            j = bisect_left(levels, level)
-            if not 0 < j < len(levels) or levels[j] == level:
-                return None
-            s, q, select, status = levels[j - 1], levels[j], self._selects[j - 1], self._pieces[j]
-            if status is None and not _same(select, self._selects[j]):
-                status = self._pieces[j] = False
-        if status is None:
-            status = _piece_certified(self.iota2d, self.cap, s, q, select)
-            with self._lock:
-                j = bisect_left(self._levels, q)
-                if self._levels[j - 1] == s:  # still adjacent
-                    self._pieces[j] = status
-        return select if status else None
+        levels = self._levels
+        j = bisect_left(levels, level)
+        if not 0 < j < len(levels) or levels[j] == level:
+            return None
+        select = self._selects[j - 1]
+        if self._pieces[j] is None:
+            self._pieces[j] = (_same(select, self._selects[j]) and _piece_certified(
+                self.iota2d, self.cap, levels[j - 1], levels[j], select))
+        return select if self._pieces[j] else None
 
     def solve(self, level: float) -> float:
         """Kernel rate at ``level``, recorded for later bounds; priced
@@ -413,19 +400,18 @@ class SlotCurve:
         select, _, rate = _slot_state(level, self.iota2d, self.cap, hint, known is not None)
         if hint is not None and _same(select, hint):
             select = hint  # equal selections are stored once
-        with self._lock:
-            levels, pieces = self._levels, self._pieces
-            j = bisect_left(levels, level)
-            if j == len(levels) or levels[j] != level:
-                # a certified piece splits into certified halves, any other
-                # gap into unchecked ones
-                status = True if j < len(levels) and pieces[j] else None
-                if j < len(levels):
-                    pieces[j] = status
-                levels.insert(j, level)
-                self._rates.insert(j, rate)
-                self._selects.insert(j, select)
-                pieces.insert(j, status)
+        levels, pieces = self._levels, self._pieces
+        j = bisect_left(levels, level)
+        if j == len(levels) or levels[j] != level:
+            # a certified piece splits into certified halves, any other
+            # gap into unchecked ones
+            status = True if j < len(levels) and pieces[j] else None
+            if j < len(levels):
+                pieces[j] = status
+            levels.insert(j, level)
+            self._rates.insert(j, rate)
+            self._selects.insert(j, select)
+            pieces.insert(j, status)
         return rate
 
 

@@ -259,11 +259,13 @@ def min_cost_b_matching(problem: AssignmentProblem, hint: np.ndarray | None = No
 
     Only strictly negative edges can appear in an optimum (dropping a
     non-negative edge never hurts), so all-positive weights yield the empty
-    assignment.  Ties break toward the lowest (n, k) index.  ``hint`` is an
-    optional (N, K) 0/1 candidate, usually the selection solved at a nearby
-    level; it changes only the speed, never the result (see
-    :func:`_certified`), and is returned as the selection itself when it is
-    certified.
+    assignment.  Among tied optima, which one is returned is not pinned to
+    a documented rule (it need not be the lexicographically first support);
+    what holds is that the result is a deterministic function of the
+    weights and the cap.  ``hint`` is an optional (N, K) 0/1 candidate,
+    usually the selection solved at a nearby level; it changes only the
+    speed, never the result (see :func:`_certified`), and is returned as
+    the selection itself when it is certified.
     """
     w = problem.weights
     cap = int(problem.bs_capacity)

@@ -77,7 +77,8 @@ def compute_frontier(scenario: Scenario, profile: ChannelProfile,
     Feasibility is monotone in the cap, so a linear scan from 1 finds
     theta_lo; the sweep stops at the first cap whose optimum fails to
     strictly decrease (saturation).  Raises :class:`NoFeasiblePlanError`
-    when even the full spectrum (cap = K) is infeasible.
+    when even the full spectrum (cap = K) is infeasible.  ``jobs`` goes to
+    :func:`~aoiplan.timing.build_graph`, which accepts only 1.
     """
     points = []
     for cap in range(1, scenario.num_rb_K + 1):

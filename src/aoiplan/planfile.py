@@ -78,7 +78,7 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         rb_cap = int(doc["epsilon_theta"])
         N, K = (int(x) for x in doc["dims"])
         power_budget = float(doc["power_budget"])
-        legs_doc = doc["legs"]
+        legs_doc = list(doc["legs"])
         kind = doc["kind"]
         mode = doc["success_mode"]
         threshold = float(doc["delivery_threshold"])
@@ -90,8 +90,17 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         delivery_threshold=threshold, success_mode=mode,
     )
     prev_end = 1
-    for leg_doc in legs_doc:
-        start, end = int(leg_doc["start"]), int(leg_doc["end"])
+    for index, leg_doc in enumerate(legs_doc, start=1):
+        try:
+            start, end = int(leg_doc["start"]), int(leg_doc["end"])
+            target, feasible = float(leg_doc["target"]), bool(leg_doc["feasible"])
+            records = []
+            for rec in leg_doc["entries"]:
+                n, k, t, p = rec
+                records.append((rec, int(n) - 1, int(k) - 1, int(t), float(p)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PlanFormatError(f"plan leg {index} has a missing or malformed field: {exc}"
+                                  ) from exc
         if start != prev_end:
             raise PlanFormatError(f"legs are not contiguous at slot {start}")
         if not 1 <= start < end <= horizon + 1:
@@ -104,8 +113,7 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         L = end - start
         assignment = np.zeros((N, K, L), dtype=np.int8)
         power = np.zeros((N, K, L))
-        for rec in leg_doc["entries"]:
-            n, k, t, p = int(rec[0]) - 1, int(rec[1]) - 1, int(rec[2]), float(rec[3])
+        for rec, n, k, t, p in records:
             if not (0 <= n < N and 0 <= k < K and start <= t < end):
                 raise PlanFormatError(f"entry {rec} outside leg [{start}, {end})")
             if p <= 0.0:
@@ -122,11 +130,11 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         if np.any(slot_power > power_budget * _POWER_SLACK):
             raise PlanFormatError("per-slot power exceeds the recorded budget")
         plan.legs.append(Leg(
-            start=start, end=end, target=float(leg_doc["target"]),
+            start=start, end=end, target=target,
             assignment=assignment, power=power,
-            planned_energy=float(power.sum()) if leg_doc["feasible"] else math.inf,
+            planned_energy=float(power.sum()) if feasible else math.inf,
             spent_energy=float(power.sum()),
-            feasible=bool(leg_doc["feasible"]),
+            feasible=feasible,
         ))
     if prev_end != horizon + 1:
         raise PlanFormatError(f"legs end at {prev_end}, expected {horizon + 1}")

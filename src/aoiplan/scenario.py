@@ -2,8 +2,8 @@
 
 A :class:`Scenario` is the single immutable description of a planning
 problem: horizon, fleet geometry, radio constants, freshness bound, and
-seeds.  Every other module consumes it read-only, so instances are safe to
-share across concurrent solver tasks.
+seeds.  Every other module consumes it read-only, so one instance can be
+shared by every solve and simulation.
 
 Unit conventions
 ----------------

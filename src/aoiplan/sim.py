@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelProfile, capacity_lower_bound
+from .channel import ChannelProfile, capacity_lower_bound, sample_fading
 from .inner import Infeasible, IntervalSpec, solve_interval
 from .numeric import seq_sum
 from .scenario import Scenario
@@ -307,10 +307,10 @@ def simulate(plan: PolicyPlan | SamplingPlan, profile: ChannelProfile,
              keep_traces: bool = False) -> SimReport:
     """Monte Carlo the realized delivery process of a plan.
 
-    Replica r draws fading with the stream (seed, r), so replicas are
-    reproducible and independent of execution order.  The plan's
-    assignment mask, power times gain and the Gamma scale are computed
-    once per call.
+    Replica r draws its fading with ``sample_fading(profile, [seed, r])``,
+    so replicas are reproducible and independent of execution order.  The
+    plan's assignment mask and power times gain are computed once per
+    call.
     """
     if isinstance(plan, SamplingPlan):
         if scenario is None:
@@ -322,13 +322,11 @@ def simulate(plan: PolicyPlan | SamplingPlan, profile: ChannelProfile,
     exp_trace = expected_trace(plan, profile)
     assigned = plan.full_assignment().astype(bool)
     power_gain = plan.full_power() * profile.gain
-    scale = 1.0 / profile.shape
     ok = 0
     peaks = []
     traces = []
     for rep in range(replicas):
-        rng = np.random.default_rng([seed, rep])
-        xi = rng.gamma(shape=profile.shape, scale=scale)
+        xi = sample_fading(profile, [seed, rep])
         payload = _realized_payload(assigned, power_gain, xi, profile.noise_power)
         trace = _success_trace(plan, payload)
         peaks.append(trace.peak_age)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .channel import ChannelProfile
@@ -92,33 +91,23 @@ def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
 
     Each slot's cap level is solved once and its kernel rates are shared
     by every interval through it (:class:`~aoiplan.inner.SlotCurve`).
-    Edges are independent inner solves; with ``jobs > 1`` they are
-    evaluated concurrently (results are order-independent, so the graph is
-    identical for any job count).  Infeasible intervals become infinite-
-    weight edges, never failures.
+    Infeasible intervals become infinite-weight edges, never failures.
+    Edges are solved one after another; ``jobs`` stays only for callers
+    that pass ``jobs=1``, and any other value raises :class:`ValueError`.
     """
+    if jobs != 1:
+        raise ValueError(f"edges are solved serially; jobs must be 1, got {jobs!r}")
     T, tau = scenario.horizon_T, scenario.aoi_bound_tau
     power_cap = scenario.power_budget_pbar
     curves = [SlotCurve(profile.iota[:, :, t], rb_cap, power_cap) for t in range(T)]
-    keys = list(_edge_targets(T, tau))
-
-    def solve_one(key):
-        i, j = key
+    graph = TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap)
+    for i, j in _edge_targets(T, tau):
         spec = IntervalSpec(
             start=i, end=j, rb_cap=rb_cap,
             rate_target=scenario.payload_threshold_vbar * rate_margin,
             power_cap=power_cap,
         )
-        return key, solve_interval(spec, profile, curves[i - 1 : j - 1])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_one, keys))
-    else:
-        results = [solve_one(k) for k in keys]
-
-    graph = TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap)
-    for (i, j), sol in results:
+        sol = solve_interval(spec, profile, curves[i - 1 : j - 1])
         weight = math.inf if isinstance(sol, Infeasible) else sol.energy
         graph.edges[(i, j)] = Edge(start=i, end=j, weight=weight, solution=sol)
     return graph

@@ -17,6 +17,7 @@ from aoiplan.channel import (
     save_profile,
     _correlated_shadowing,
 )
+from aoiplan.errors import ScenarioValidationError
 from aoiplan.oracle import mc_expected_capacity
 
 from conftest import desk_scenario
@@ -223,16 +224,38 @@ def test_fading_unit_mean_and_variance():
     prof = ChannelProfile.from_arrays(
         np.full((1, 1, 100_000), 1.0), np.full((1, 1, 100_000), kappa), 1.0
     )
-    xi = sample_fading(prof, 3).realization.reshape(-1)
+    xi = sample_fading(prof, 3).reshape(-1)
     assert xi.mean() == pytest.approx(1.0, abs=0.02)
     assert xi.var() == pytest.approx(1.0 / kappa, abs=0.02)
     assert np.all(xi > 0)
 
 
 def test_fading_deterministic(small_profile):
-    a = sample_fading(small_profile, 8).realization
-    b = sample_fading(small_profile, 8).realization
+    a = sample_fading(small_profile, 8)
+    b = sample_fading(small_profile, 8)
     assert np.array_equal(a, b)
+    assert np.array_equal(sample_fading(small_profile, [8, 2]),
+                          sample_fading(small_profile, [8, 2]))
+    assert not np.array_equal(a, sample_fading(small_profile, [8, 2]))
+
+
+def test_fading_low_shape_draws_may_be_zero():
+    # Gamma draws at shapes near the floor underflow to exactly 0: a valid
+    # deep fade, not an error
+    prof = ChannelProfile.from_arrays(
+        np.full((1, 1, 1000), 1.0), np.full((1, 1, 1000), 1.5e-3), 1.0
+    )
+    xi = sample_fading(prof, 5)
+    assert np.all(np.isfinite(xi)) and np.all(xi >= 0.0)
+    assert np.any(xi == 0.0)
+
+
+def test_build_profile_rejects_shapes_too_low_for_finite_floors():
+    # kappa_range passes validation (>= KAPPA_FLOOR), but exp(psi(1e-3)) underflows
+    s = desk_scenario(3, kappa_range=(1e-3, 1e-3))
+    with pytest.raises(ScenarioValidationError) as err:
+        build_profile(s, 3)
+    assert "kappa_range" in str(err.value)
 
 
 # ---------------------------------------------------------------- persistence

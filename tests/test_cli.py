@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 
 from aoiplan import build_profile
 from aoiplan.channel import save_profile
-from aoiplan.cli import main
+from aoiplan.cli import _build_parser, main
 from aoiplan.scenario import save_scenario
 from aoiplan.timing import build_graph, shortest_path
 
 from conftest import desk_scenario
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -46,6 +48,13 @@ def test_generate_table1_preset(tmp_path):
     assert doc["noise_power_delta2"] == pytest.approx(1e-9)
     assert doc["shadowing_corr_dist_m"] == 5.0
     assert doc["kappa_range"] == [1.0, 30.0]
+
+
+def test_generate_shapes_too_low_is_validation_error(tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    save_scenario(desk_scenario(3, kappa_range=(1e-3, 1e-3)), scen)
+    assert main(["generate", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert "kappa_range" in capsys.readouterr().err
 
 
 def test_generate_missing_dir_is_io_error(tmp_path):
@@ -82,16 +91,18 @@ def test_plan_infeasible_exit_code(tmp_path):
     assert rc == 3
 
 
-def test_plan_jobs_invariant(tmp_path, desk_files):
+def test_simulate_malformed_plan_file_is_validation_error(tmp_path, desk_files, capsys):
     _, _, scen, profp = desk_files
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    plan = tmp_path / "plan.json"
     assert main(["plan", "--scenario", scen, "--profile", profp,
-                 "--epsilon-theta", "2", "--jobs", "1", "--out", str(a)]) == 0
-    assert main(["plan", "--scenario", scen, "--profile", profp,
-                 "--epsilon-theta", "2", "--jobs", "4", "--out", str(b)]) == 0
-    da, db = json.loads(a.read_text()), json.loads(b.read_text())
-    da.pop("seed"), db.pop("seed")
-    assert da == db
+                 "--epsilon-theta", "2", "--out", str(plan)]) == 0
+    doc = json.loads(plan.read_text())
+    doc["legs"][0]["entries"] = [[1, 1]]
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", scen, "--profile", profp,
+                 "--plan", str(plan), "--replicas", "2"]) == 2
+    assert "plan leg 1" in capsys.readouterr().err
 
 
 def test_plan_file_roundtrip_validates(tmp_path, desk_files):
@@ -264,3 +275,19 @@ def test_env_seed_fallback(tmp_path, desk_files, monkeypatch):
     assert main(["generate", "--scenario", scen, "--seed", "77", "--out", str(out2)]) == 0
     with np.load(out1 / "profile.npz") as a, np.load(out2 / "profile.npz") as b:
         assert np.array_equal(a["gain"], b["gain"])
+
+
+# ---------------------------------------------------------------- README
+
+def test_readme_cli_examples_parse():
+    """Every ``aoiplan ...`` line of the README's CLI block parses."""
+    block = README.read_text().split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("aoiplan ")]
+    assert len(commands) >= 8
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: aoiplan {shlex.join(argv)}")

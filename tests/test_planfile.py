@@ -102,6 +102,23 @@ def test_rejects_rb_conflict(saved_plan, tmp_path):
         load_plan(bad)
 
 
+@pytest.mark.parametrize("breakage", ["short entry", "missing end", "legs not a list"])
+def test_rejects_missing_or_short_leg_fields(saved_plan, tmp_path, breakage):
+    *_, path = saved_plan
+
+    def damage(doc):
+        if breakage == "short entry":
+            doc["legs"][0]["entries"] = [[1, 1]]
+        elif breakage == "missing end":
+            del doc["legs"][0]["end"]
+        else:
+            doc["legs"] = 5
+
+    bad = _mutate(path, tmp_path, damage)
+    with pytest.raises(PlanFormatError):
+        load_plan(bad)
+
+
 def test_rate_validation_catches_power_cut(saved_plan, tmp_path):
     s, prof, _, path = saved_plan
 

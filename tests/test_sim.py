@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import aoiplan.sim
 from aoiplan import build_profile
+from aoiplan.channel import sample_fading
 from aoiplan.sim import (
     _payload_per_slot,
     _success_trace,
@@ -188,6 +190,25 @@ def test_simulate_traces_follow_the_documented_stream(feasible_setup):
             assert np.array_equal(trace.success, ref.success)
             assert np.array_equal(trace.cum_payload, ref.cum_payload)
             assert trace.delivered == ref.delivered and trace.peak_age == ref.peak_age
+
+
+def test_simulate_draws_fading_through_sample_fading(feasible_setup, monkeypatch):
+    s, prof = feasible_setup
+    plan = baseline_periodic(s, prof, rb_cap=2)
+    drawn = []
+
+    def spy(profile, seed):
+        xi = sample_fading(profile, seed)
+        drawn.append((list(seed), xi))
+        return xi
+
+    monkeypatch.setattr(aoiplan.sim, "sample_fading", spy)
+    report = simulate(plan, prof, replicas=4, seed=11, keep_traces=True)
+    assert [seed for seed, _ in drawn] == [[11, r] for r in range(4)]
+    for r, (trace, (_, xi)) in enumerate(zip(report.traces, drawn)):
+        assert np.array_equal(xi, sample_fading(prof, [11, r]))
+        ref = _success_trace(plan, _payload_per_slot(plan, prof, xi))
+        assert np.array_equal(trace.cum_payload, ref.cum_payload)
 
 
 def test_infeasible_baseline_legs_have_full_shapes(feasible_setup):

@@ -8,6 +8,7 @@ from aoiplan import build_profile
 from aoiplan.errors import NoFeasiblePlanError
 from aoiplan.inner import Infeasible, IntervalSpec, solve_interval
 from aoiplan.oracle import oracle_plan
+from aoiplan.pareto import compute_frontier
 from aoiplan.sim import expected_trace, policy_plan_from_sampling
 from aoiplan.timing import Edge, TimingGraph, build_graph, export_graph_csv, shortest_path
 
@@ -201,12 +202,15 @@ def test_piece_counts_repeat_exactly(small_scenario, small_profile, monkeypatch)
     assert seen[0]["checks"] > 0 and seen[0]["priced"] > seen[0]["matchings"]
 
 
-def test_jobs_do_not_change_results(small_scenario, small_profile):
-    g1 = build_graph(small_scenario, small_profile, rb_cap=2, jobs=1)
-    g4 = build_graph(small_scenario, small_profile, rb_cap=2, jobs=4)
-    assert set(g1.edges) == set(g4.edges)
-    for key in g1.edges:
-        assert g1.edges[key].weight == g4.edges[key].weight
+def test_only_serial_jobs_accepted(small_scenario, small_profile):
+    with pytest.raises(ValueError):
+        build_graph(small_scenario, small_profile, rb_cap=2, jobs=2)
+    with pytest.raises(ValueError):
+        compute_frontier(small_scenario, small_profile, jobs=2)
+    one = build_graph(small_scenario, small_profile, rb_cap=2, jobs=1)
+    default = build_graph(small_scenario, small_profile, rb_cap=2)
+    assert {k: e.weight for k, e in one.edges.items()} == {
+        k: e.weight for k, e in default.edges.items()}
 
 
 def test_graph_csv_export(tmp_path, small_scenario, small_profile):
