@@ -125,11 +125,11 @@ def cmd_generate(args) -> int:
     if not out.parent.exists():
         print(f"error: output directory {out.parent} does not exist", file=sys.stderr)
         return EXIT_IO
+    profile = channel.build_profile(scenario, seed)  # validates before anything is written
     out.mkdir(exist_ok=True)
     scen_path = out / "scenario.json"
     prof_path = out / "profile.npz"
     save_scenario(scenario, scen_path)
-    profile = channel.build_profile(scenario, seed)
     channel.save_profile(profile, prof_path)
     print(f"scenario: {scen_path}")
     print(f"profile:  {prof_path} (seed {seed})")
@@ -209,49 +209,40 @@ def cmd_simulate(args) -> int:
     return EXIT_INFEASIBLE if not policy.feasible else EXIT_OK
 
 
-def _read_frontier_csv(path):
-    rows = []
+def _read_frontier_csv(path) -> list:
+    """Frontier points of an exported frontier CSV, without their plans."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["epsilon_theta"]), float(row["energy_linear"])))
-    if not rows:
+        points = [pareto.FrontierPoint(load_cap=int(row["epsilon_theta"]),
+                                       energy=float(row["energy_linear"]), plan=None)
+                  for row in csv.DictReader(fh)]
+    if not points:
         raise PlanFormatError(f"frontier file {path} has no rows")
-    return rows
+    return points
 
 
 def cmd_transform(args) -> int:
-    rows = _read_frontier_csv(args.frontier)
-    g1, g2 = _parse_g(args.g1), _parse_g(args.g2)
-    caps = [c for c, _ in rows]
-    energies = [e for _, e in rows]
-    from .pareto import _check_strictly_increasing
-
-    _check_strictly_increasing(g1, min(caps), max(caps), "g1")
-    _check_strictly_increasing(g2, min(energies), max(energies), "g2")
+    points = _read_frontier_csv(args.frontier)
+    image = pareto.transform_frontier(points, _parse_g(args.g1), _parse_g(args.g2))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["g1_load", "g2_energy"])
-        for cap, energy in rows:
-            writer.writerow([_fmt(g1(float(cap))), _fmt(g2(energy))])
-    print(f"transformed {len(rows)} frontier points -> {args.out}")
+        for load, energy in image:
+            writer.writerow([_fmt(load), _fmt(energy)])
+    print(f"transformed {len(points)} frontier points -> {args.out}")
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    rows = _read_frontier_csv(args.frontier)
+    points = _read_frontier_csv(args.frontier)
     if args.budget is not None:
-        g1 = _parse_g(args.g1)
-        admissible = [(c, e) for c, e in rows if g1(float(c)) <= args.budget]
-        if not admissible:
-            raise BudgetInfeasibleError(f"no frontier point fits budget {args.budget}")
-        cap, energy = min(admissible, key=lambda ce: ce[1])
+        point = pareto.budget_select(points, _parse_g(args.g1), args.budget)
         mode = f"budget {args.budget}"
     else:
         util = pareto.weighted_lp_utility(args.alpha, args.p,
                                           args.theta_target, args.energy_target)
-        cap, energy = min(rows, key=lambda ce: util(ce[0], ce[1]))
+        point = pareto.scalarize_select(points, util)
         mode = f"weighted-Lp alpha={args.alpha} p={args.p}"
-    print(f"selected ({mode}): epsilon_theta {cap}, energy {_fmt(energy)}")
+    print(f"selected ({mode}): epsilon_theta {point.load_cap}, energy {_fmt(point.energy)}")
     return EXIT_OK
 
 

@@ -22,41 +22,45 @@ The exported plan is binary: the limit supports are frozen and the water
 level re-solved within them, which meets the rate target and power caps
 exactly at a small measured energy premium over the mixed optimum.
 
-Slot reuse.  A timing graph asks the same slots the same questions: every
-interval through slot t needs t's cap level and t's kernel rate at many
-levels.  A :class:`SlotCurve` holds one slot's cap solve, computed once,
-and every (level, rate) pair the kernel has returned for that slot.  The
-global-level bisection decides ``sum_t rate_t(mu) >= target`` from those
-pairs where it can.  Sequential float addition is monotone in every term,
-so when the summed lower bounds reach the target, or the summed upper
-bounds miss it, the exact sum decides the same way; otherwise the slot
-with the widest bound is solved and the sums retried.  Every decision,
-and hence every output bit, equals that of solving every slot at every
-probe.
+Slot stores.  Every question the solver asks a slot has one form: the
+kernel's selection, assigned power and assigned rate at a level mu.  One
+:class:`_SlotStore` per slot answers all of them and records every
+answer.  The cap bisection asks a fresh store; the one-sided limits are
+the store's answers just below and just above a level.
 
-Curves also keep the kernel's selection beside each solved (level, rate).
 A slot's matching is piecewise constant in the level, so the selection
-solved at the nearest level is almost always the answer at the next one;
-it is handed to the kernel as a hint, which the kernel returns only under
-its optimality certificate (see :mod:`aoiplan.matching`), so hints change
-speed, never results.  When the hint is returned it is the same array
-object, so a run of equal selections is stored once.  The cap solve's
-bisection and the one-sided limits are warm-started the same way.
+recorded at the nearest level is almost always the answer at the next
+one; it is handed to the kernel as a hint, which the kernel returns only
+under its optimality certificate (see :mod:`aoiplan.matching`), so hints
+change speed, never results.  When the hint is returned it is the same
+array object, so a run of equal selections is stored once.
 
-Most probes need no matching at all.  When two adjacent solved levels
+Most queries need no matching at all.  When two adjacent recorded levels
 s < q hold the same selection, the gap between them is checked once: no
 floor may lie inside it, and the selection must pass the kernel's
 certificate at both ends with an extra margin covering the curvature of
 the matching cost in the level (see :mod:`aoiplan.matching`).  A gap
 that passes is a certified piece: the kernel returns that selection at
-every level strictly inside it, so a probe there is priced from the
+every level strictly inside it, so a query there is priced from the
 selection with the very float operations that follow the kernel in
-:func:`_slot_state`, and its bits are those of a solve.  A priced level
-is recorded like a solved one, so bounds stay tight; it splits a
-certified piece into two certified halves, while any other gap splits
-into two unchecked ones.  The cap solve's bisection certifies its own
-bracket the same way, and a one-sided limit whose side falls inside a
-certified piece takes the piece's selection.
+:func:`_slot_state`, and its bits are those of a solve.  An exact hit is
+priced from its recorded selection, since the kernel is deterministic.
+A new level splits a certified piece into two certified halves, while
+any other gap splits into two unchecked ones.  Inside the cap bisection
+the bracket ends are always adjacent recorded levels, so the bracket is
+certified once both ends hold the same selection.
+
+Slot reuse.  A timing graph asks the same slots the same questions: every
+interval through slot t needs t's cap level and t's kernel rate at many
+levels.  A :class:`SlotCurve` is one slot's store plus its cap solve,
+computed once, and bounds on the kernel rate from the recorded levels.
+The global-level bisection decides ``sum_t rate_t(mu) >= target`` from
+those bounds where it can.  Sequential float addition is monotone in
+every term, so when the summed lower bounds reach the target, or the
+summed upper bounds miss it, the exact sum decides the same way;
+otherwise the slot with the widest bound is asked and the sums retried.
+Every decision, and hence every output bit, equals that of solving every
+slot at every probe.
 
 The bounds rest on monotonicity: the optimal rate is non-decreasing in
 the level, being -1/ln2 times the derivative of the concave optimal
@@ -78,8 +82,9 @@ slack, with eps = ``CURVE_EPS`` * K * (1 + level + max|w|): a hundred
 times the kernel's worst case of K skipped augmentations at its stop
 tolerance 1e-12 * (1 + max|w|), plus room for rounding at the level's
 scale.  An exact hit is reused as is, since the kernel is deterministic;
-mixed or limit values never serve as bounds, and a side with no solved
-level is unbounded, so the slot gets solved.
+mixed values and the limits' values at mu never serve as bounds (a
+limit's two sides are recorded at their own levels), and a side with no
+recorded level is unbounded, so the slot gets asked.
 """
 
 from __future__ import annotations
@@ -104,6 +109,8 @@ MAX_BISECT = 200
 CURVE_EPS = 1e-10      # assumed kernel suboptimality per RB and rate rounding, relative
 PIECE_FLOOR_GUARD = 1e-6   # relative band below a piece that must hold no floor
 PIECE_ROUNDING = 2.0 ** -40  # piece margin for rounding, per RB, relative to level and max|w|
+LIMIT_REL_EPS = 1e-7    # one-sided limit offset, relative to the level
+LIMIT_ABS_FLOOR = 1e-12  # one-sided limit offset near level 0
 
 __all__ = [
     "IntervalSpec",
@@ -178,10 +185,10 @@ def water_fill(level, iota):
     i = np.asarray(iota, dtype=float)
     lvl = float(level)
     power = np.maximum(0.0, lvl - i)
-    active = lvl > i
-    rate = np.zeros_like(i, dtype=float)
     if lvl > 0.0:
-        rate = np.where(active, np.log2(np.maximum(lvl, 1e-300) / i), 0.0)
+        rate = np.where(lvl > i, np.log2(np.maximum(lvl, 1e-300) / i), 0.0)
+    else:
+        rate = np.zeros_like(i, dtype=float)
     return power, rate
 
 
@@ -194,8 +201,9 @@ def assignment_weights(level, iota):
 def _slot_state(level, iota2d, cap, hint=None, priced=False):
     """Kernel selection at ``level`` with its assigned power and rate.
 
-    With ``priced`` the hint is the selection of a certified piece around
-    ``level``, which the kernel is known to return, and no matching runs.
+    With ``priced`` the hint is a selection the kernel is known to return
+    at ``level``, a certified piece's or the one recorded there, and no
+    matching runs.
     """
     power, rate = water_fill(level, iota2d)
     if priced:
@@ -233,6 +241,22 @@ def _piece_certified(iota2d, cap, s, q, select) -> bool:
             and _certified(w_q, cap, select, extra))
 
 
+def _bisect(lo: float, hi: float, reaches, rel: float = BRACKET_REL_TOL,
+            floor: float = 1e-300) -> float:
+    """Halve [lo, hi], moving ``hi`` to each midpoint where ``reaches``
+    holds and ``lo`` to the others, until ``hi - lo <= max(rel * hi,
+    floor)`` or ``MAX_BISECT`` halvings; return ``hi``."""
+    for _ in range(MAX_BISECT):
+        if hi - lo <= max(rel * hi, floor):
+            break
+        mid = 0.5 * (lo + hi)
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @dataclass
 class _SlotLimits:
     a_minus: np.ndarray
@@ -243,33 +267,75 @@ class _SlotLimits:
     r_plus: float
 
 
-def _slot_limits(level, iota2d, cap, rel_eps=1e-7, abs_floor=1e-12, hint=None,
-                 piece=None) -> _SlotLimits:
-    """One-sided limit assignments at ``level``, valued at ``level`` itself.
+class _SlotStore:
+    """The kernel's selection, power and rate at every level asked so far,
+    for one slot and load cap; see the module docstring."""
 
-    Evaluates the matching at level*(1 -/+ eps) with a relative
-    perturbation (absolute floor guards level ~ 0), approximating the
-    one-sided limits at a critical point; away from criticals both sides
-    coincide.  ``hint`` warm-starts the lower side, whose selection
-    warm-starts the upper one.  ``piece(side)`` optionally gives the
-    selection of a certified piece holding ``side``, or None; a side with
-    one takes it and runs no matching.
-    """
-    power, rate = water_fill(level, iota2d)
-    eps = max(abs(level) * rel_eps, abs_floor)
-    out = []
-    select = hint
-    for side in (level - eps, level + eps):
-        known = piece(side) if piece is not None else None
-        if known is not None:
-            select = known
-        else:
-            w = assignment_weights(side, iota2d)
-            select = min_cost_b_matching(AssignmentProblem(w, cap), hint=select).select
-        sel = select.astype(bool)
-        out.append((sel, float(power[sel].sum()), float(rate[sel].sum())))
-    (am, pm, rm), (ap, pp, rp) = out
-    return _SlotLimits(am, ap, pm, pp, rm, rp)
+    def __init__(self, iota2d: np.ndarray, cap: int):
+        self.iota2d = iota2d
+        self.cap = cap
+        self._levels = []   # sorted recorded levels
+        self._rates = []    # kernel rate at each recorded level
+        self._selects = []  # kernel selection at each recorded level
+        self._pieces = []   # gap below each recorded level: True certified piece,
+        #                     False not a piece, None unchecked
+
+    def _piece(self, j: int):
+        """Selection of the certified piece between recorded levels j-1
+        and j, or None; the gap is checked the first time it is asked."""
+        levels, selects, pieces = self._levels, self._selects, self._pieces
+        if not 0 < j < len(levels):
+            return None
+        if pieces[j] is None:
+            pieces[j] = (_same(selects[j - 1], selects[j]) and _piece_certified(
+                self.iota2d, self.cap, levels[j - 1], levels[j], selects[j - 1]))
+        return selects[j - 1] if pieces[j] else None
+
+    def state(self, level: float) -> tuple:
+        """Kernel (selection, power, rate) at ``level``, recorded.
+
+        An exact hit and a level inside a certified piece are priced from
+        the recorded selection; any other level is solved with the nearest
+        recorded selection as the hint.
+        """
+        levels, selects, pieces = self._levels, self._selects, self._pieces
+        j = bisect_left(levels, level)
+        if j < len(levels) and levels[j] == level:
+            return _slot_state(level, self.iota2d, self.cap, selects[j], True)
+        hint = known = self._piece(j)
+        if known is None and levels:
+            lower = j == len(levels) or (j and level - levels[j - 1] < levels[j] - level)
+            hint = selects[j - 1 if lower else j]
+        select, power, rate = _slot_state(level, self.iota2d, self.cap, hint, known is not None)
+        if hint is not None and _same(select, hint):
+            select = hint  # equal selections are stored once
+        # a certified piece splits into certified halves, any other gap
+        # into unchecked ones
+        status = True if known is not None else None
+        if j < len(levels):
+            pieces[j] = status
+        levels.insert(j, level)
+        self._rates.insert(j, rate)
+        selects.insert(j, select)
+        pieces.insert(j, status)
+        return select, power, rate
+
+    def limits(self, level: float) -> _SlotLimits:
+        """One-sided limit assignments at ``level``, valued at ``level`` itself.
+
+        The selections are the store's at level*(1 -/+ eps), a relative
+        perturbation (absolute floor guards level ~ 0) approximating the
+        one-sided limits at a critical point; away from criticals both
+        sides coincide.
+        """
+        power, rate = water_fill(level, self.iota2d)
+        eps = max(abs(level) * LIMIT_REL_EPS, LIMIT_ABS_FLOOR)
+        sides = []
+        for side in (level - eps, level + eps):
+            sel = self.state(side)[0].astype(bool)
+            sides.append((sel, float(power[sel].sum()), float(rate[sel].sum())))
+        (am, pm, rm), (ap, pp, rp) = sides
+        return _SlotLimits(am, ap, pm, pp, rm, rp)
 
 
 @dataclass
@@ -285,36 +351,14 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> _SlotCap:
     reaches the per-slot budget, with the mixing coefficient that lands on
     the budget exactly when the crossing happens at a matching switch.
 
-    Each probe is warm-started from the previous one.  Once both bracket
-    ends have been solved to the same selection and the bracket passes
-    :func:`_piece_certified`, every later probe lies inside that certified
-    piece and is priced without a matching.
+    The bisection and the limits ask one fresh :class:`_SlotStore`.
     """
-    lo = float(iota2d.min())
+    store = _SlotStore(iota2d, cap)
     hi = float(iota2d.max()) + float(power_cap)  # assigned power >= hi - max(iota) there
-    tol_p = POWER_REL_TOL * power_cap
-    select = sel_lo = sel_hi = None  # latest probe's selection; the bracket ends'
-    piece = None                     # (lo, hi, selection) of a certified bracket
-    for _ in range(MAX_BISECT):
-        if hi - lo <= max(BRACKET_REL_TOL * hi, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        select, p_mid, _ = _slot_state(mid, iota2d, cap, select, piece is not None)
-        if p_mid >= power_cap:
-            hi, sel_hi = mid, select
-        else:
-            lo, sel_lo = mid, select
-        if (piece is None and sel_lo is not None and sel_hi is not None
-                and _same(sel_lo, sel_hi) and _piece_certified(iota2d, cap, lo, hi, select)):
-            piece = (lo, hi, select)
-
-    def piece_select(side):
-        return piece[2] if piece is not None and piece[0] < side < piece[1] else None
-
-    level = hi
-    lim = _slot_limits(level, iota2d, cap, hint=select, piece=piece_select)
+    level = _bisect(float(iota2d.min()), hi, lambda mid: store.state(mid)[1] >= power_cap)
+    lim = store.limits(level)
     gap = lim.p_plus - lim.p_minus
-    if gap > tol_p and lim.p_minus <= power_cap <= lim.p_plus:
+    if gap > POWER_REL_TOL * power_cap and lim.p_minus <= power_cap <= lim.p_plus:
         xi = (power_cap - lim.p_minus) / gap
     else:
         xi = 1.0
@@ -322,27 +366,19 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> _SlotCap:
     return _SlotCap(level=level, xi=xi, limits=lim, rate_at_cap=rate_at_cap)
 
 
-class SlotCurve:
-    """One slot's cap solve and the kernel rates and selections solved so
-    far, for one (slot, load cap, power cap); shared by every interval
-    through the slot.
+class SlotCurve(_SlotStore):
+    """One slot's store and cap solve for one (slot, load cap, power cap);
+    shared by every interval through the slot.
 
-    Bounds carry the near-optimality slack of the module docstring, and
-    probes inside certified pieces are priced, not solved.
+    Bounds carry the near-optimality slack of the module docstring.
     """
 
     def __init__(self, iota2d: np.ndarray, cap: int, power_cap: float):
-        self.iota2d = iota2d
-        self.cap = cap
+        super().__init__(iota2d, cap)
         self.power_cap = power_cap
         self.slot_cap = solve_slot_cap(iota2d, cap, power_cap)
         self._iota_min = float(iota2d.min())
         self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
-        self._levels = []   # sorted solved levels
-        self._rates = []    # kernel rate at each solved level
-        self._selects = []  # kernel selection at each solved level
-        self._pieces = []   # gap below each solved level: True certified piece,
-        #                     False not a piece, None unchecked
 
     def _slack(self, level: float) -> float:
         """Kernel suboptimality bound at ``level``, divided by ln 2."""
@@ -352,7 +388,7 @@ class SlotCurve:
 
     def bounds(self, level: float) -> tuple:
         """(lower, upper) bounds on the kernel rate at ``level`` from the
-        nearest solved level on each side; -inf or inf where there is none.
+        nearest recorded level on each side; -inf or inf where there is none.
         """
         levels, rates = self._levels, self._rates
         j = bisect_left(levels, level)
@@ -368,58 +404,12 @@ class SlotCurve:
             hi = r + (own + self._slack(s)) / (s - level) + CURVE_EPS * (1.0 + r)
         return lo, hi
 
-    def nearest_select(self, level: float):
-        """Kernel selection at the solved level nearest ``level``, or None."""
-        levels = self._levels
-        j = bisect_left(levels, level)
-        if j == len(levels) or (j and level - levels[j - 1] < levels[j] - level):
-            j -= 1
-        return self._selects[j] if j >= 0 else None
-
-    def piece_select(self, level: float):
-        """Selection of the certified piece strictly holding ``level``, or None.
-
-        A gap between two solved levels with the same selection is checked
-        by :func:`_piece_certified` the first time a level falls inside it.
-        """
-        levels = self._levels
-        j = bisect_left(levels, level)
-        if not 0 < j < len(levels) or levels[j] == level:
-            return None
-        select = self._selects[j - 1]
-        if self._pieces[j] is None:
-            self._pieces[j] = (_same(select, self._selects[j]) and _piece_certified(
-                self.iota2d, self.cap, levels[j - 1], levels[j], select))
-        return select if self._pieces[j] else None
-
-    def solve(self, level: float) -> float:
-        """Kernel rate at ``level``, recorded for later bounds; priced
-        without a matching inside a certified piece."""
-        known = self.piece_select(level)
-        hint = self.nearest_select(level) if known is None else known
-        select, _, rate = _slot_state(level, self.iota2d, self.cap, hint, known is not None)
-        if hint is not None and _same(select, hint):
-            select = hint  # equal selections are stored once
-        levels, pieces = self._levels, self._pieces
-        j = bisect_left(levels, level)
-        if j == len(levels) or levels[j] != level:
-            # a certified piece splits into certified halves, any other
-            # gap into unchecked ones
-            status = True if j < len(levels) and pieces[j] else None
-            if j < len(levels):
-                pieces[j] = status
-            levels.insert(j, level)
-            self._rates.insert(j, rate)
-            self._selects.insert(j, select)
-            pieces.insert(j, status)
-        return rate
-
 
 def _rate_reaches(slots, mu: float, vbar: float) -> bool:
     """Whether the slots' summed kernel rate at ``mu`` reaches ``vbar``.
 
     Saturated slots contribute their cap rate; the others are bounded from
-    their curves and solved, widest bound first, only until the summed
+    their curves and asked, widest bound first, only until the summed
     bounds settle the comparison.
     """
     lows, highs = [], []
@@ -436,7 +426,7 @@ def _rate_reaches(slots, mu: float, vbar: float) -> bool:
         if seq_sum(highs) < vbar:
             return False
         t = max(range(len(slots)), key=lambda s: highs[s] - lows[s])
-        lows[t] = highs[t] = slots[t].solve(mu)
+        lows[t] = highs[t] = slots[t].state(mu)[2]
 
 
 # ----------------------------------------------------------------------
@@ -490,15 +480,8 @@ def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
     if max_rate < rate_target * (1.0 - 1e-9):
         return None
     lo = float(min(v[0] for v in slot_iotas if v.size))
-    for _ in range(MAX_BISECT):
-        if hi - lo <= max(BRACKET_REL_TOL * hi, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) >= rate_target:
-            hi = mid
-        else:
-            lo = mid
-    mu = hi  # upper bracket end guarantees rate >= target
+    # upper bracket end guarantees rate >= target
+    mu = _bisect(lo, hi, lambda mid: rate_at(mid) >= rate_target)
     levels = np.minimum(mu, cap_levels)
     energy = 0.0
     for t in range(L):
@@ -550,17 +533,8 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
     if max_rate < vbar * (1.0 - 1e-12):
         return Infeasible(max_rate=max_rate)
 
-    lo = float(iota3d.min())
-    hi = float(cap_levels.max())
-    for _ in range(MAX_BISECT):
-        if hi - lo <= max(BRACKET_REL_TOL * hi, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        if _rate_reaches(slots, mid, vbar):
-            hi = mid
-        else:
-            lo = mid
-    mu = hi
+    mu = _bisect(float(iota3d.min()), float(cap_levels.max()),
+                 lambda mid: _rate_reaches(slots, mid, vbar))
 
     # one-sided limits per slot at the final levels
     limits, xi_max = [], np.ones(L)
@@ -569,9 +543,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
             limits.append(caps[t].limits)
             xi_max[t] = caps[t].xi
         else:
-            limits.append(_slot_limits(mu, iota3d[:, :, t], spec.rb_cap,
-                                       hint=slots[t].nearest_select(mu),
-                                       piece=slots[t].piece_select))
+            limits.append(slots[t].limits(mu))
 
     def mixed_rate(xi):
         total = 0.0
@@ -586,16 +558,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
     elif mixed_rate(1.0) <= vbar:
         xi_star = 1.0
     else:
-        xlo, xhi = 0.0, 1.0
-        for _ in range(MAX_BISECT):
-            if xhi - xlo <= 1e-15:
-                break
-            xmid = 0.5 * (xlo + xhi)
-            if mixed_rate(xmid) >= vbar:
-                xhi = xmid
-            else:
-                xlo = xmid
-        xi_star = xhi
+        xi_star = _bisect(0.0, 1.0, lambda xi: mixed_rate(xi) >= vbar, rel=0.0, floor=1e-15)
 
     mix = np.minimum(xi_star, xi_max)
     energy_mixed = float(seq_sum(

@@ -7,6 +7,8 @@ stops at the first cap that no longer strictly improves.  The variant
 rules let downstream formulations reuse the frontier without re-solving:
 strictly-increasing coordinate maps transform it pointwise, strongly
 increasing utilities select from it, and budget constraints filter it.
+The rules take a :class:`ParetoFrontier` or any sequence of its points,
+such as the plan-less points the CLI reads back from a frontier CSV.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ _EQUALITY_REL_TOL = 1e-9  # saturation detection on real-valued energies
 class FrontierPoint:
     load_cap: int
     energy: float
-    plan: SamplingPlan
+    plan: SamplingPlan     # None on points read back from a frontier CSV
 
 
 @dataclass

@@ -57,6 +57,14 @@ def test_generate_shapes_too_low_is_validation_error(tmp_path, capsys):
     assert "kappa_range" in capsys.readouterr().err
 
 
+def test_generate_validation_error_writes_nothing(tmp_path):
+    scen = tmp_path / "s.json"
+    save_scenario(desk_scenario(3, kappa_range=(1e-3, 1e-3)), scen)
+    out = tmp_path / "out"
+    assert main(["generate", "--scenario", str(scen), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_generate_missing_dir_is_io_error(tmp_path):
     missing = tmp_path / "no" / "such" / "dir"
     assert main(["generate", "--seed", "1", "--out", str(missing)]) == 4
@@ -224,6 +232,19 @@ def test_transform_and_select_pipeline(desk_files, tmp_path):
     assert main(["select", "--frontier", str(fcsv), "--budget", "1e9"]) == 0
     assert main(["select", "--frontier", str(fcsv), "--budget", "0.5"]) == 3
     assert main(["select", "--frontier", str(fcsv), "--alpha", "0.5", "--p", "2"]) == 0
+
+
+def test_select_budget_rejects_a_decreasing_load_map(desk_files, tmp_path, capsys):
+    # the same monotonicity rule as ``transform`` and ``pareto.budget_select``
+    _, _, scen, profp = desk_files
+    fcsv = tmp_path / "f.csv"
+    assert main(["frontier", "--scenario", scen, "--profile", profp,
+                 "--out", str(fcsv)]) == 0
+    assert len(fcsv.read_text().splitlines()) >= 3  # at least two points
+    capsys.readouterr()
+    assert main(["select", "--frontier", str(fcsv), "--budget", "-2.5",
+                 "--g1", "scale:-1"]) == 2
+    assert "g1 is not strictly increasing" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- bench / oracle

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def extended_power(level, xi, iota2d, cap):
     """Mixed-limit slot power (1-xi) * P(level-) + xi * P(level+)."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    lim = inner._slot_limits(level, iota2d, cap)
+    lim = inner._SlotStore(iota2d, cap).limits(level)
     return (1.0 - xi) * lim.p_minus + xi * lim.p_plus
 
 
@@ -61,7 +62,7 @@ def extended_rate(level, xi, iota2d, cap):
     """Mixed-limit slot rate (1-xi) * R(level-) + xi * R(level+)."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    lim = inner._slot_limits(level, iota2d, cap)
+    lim = inner._SlotStore(iota2d, cap).limits(level)
     return (1.0 - xi) * lim.r_minus + xi * lim.r_plus
 
 
@@ -295,7 +296,7 @@ def test_slot_curve_bounds_settle_like_direct_sums():
                     x = a
                     for _ in range(abs(k)):
                         x = float(np.nextafter(x, math.inf if k > 0 else -math.inf))
-                    c.solve(x)
+                    c.state(x)
         assert switches
         for n in range(200):
             if n % 2:
@@ -323,11 +324,16 @@ def _ulps(x, n):
     return x
 
 
+def _piece_at(store, level):
+    """Selection of the certified piece strictly holding ``level``, or None."""
+    return store._piece(bisect_left(store._levels, level))
+
+
 def _pieces_of(curve):
     """(s, q, selection) of every certified piece, after checking every gap."""
     levels = list(curve._levels)
     for s, q in zip(levels, levels[1:]):
-        curve.piece_select(0.5 * (s + q))
+        _piece_at(curve, 0.5 * (s + q))
     return [(s, q, curve._selects[j]) for j, (s, q) in enumerate(zip(levels, levels[1:]), 1)
             if curve._pieces[j]]
 
@@ -347,7 +353,7 @@ def test_certified_pieces_hold_the_cold_selection_inside():
         for a, _ in _switch_levels(iota, cap, lo, hi, grid=40):
             seeds += [a * (1.0 + sign * 10.0 ** -e) for sign in (-1, 1) for e in (3, 6, 9, 12)]
         for x in seeds:
-            curve.solve(x)
+            curve.state(x)
         # stored levels, rates and selections are those of cold solves,
         # whatever order the levels were solved in
         assert curve._levels == sorted(set(seeds))
@@ -377,11 +383,11 @@ def test_piece_refused_with_a_floor_inside_or_just_below():
     assert inner._piece_certified(iota, 1, 1.5 * (1.0 + 2e-6), 2.0, first)
     curve = SlotCurve(iota, 1, 6.0)
     for x in (1.2, 2.0):
-        curve.solve(x)
-    assert curve.piece_select(1.7) is None and curve._pieces[1] is False
-    curve.solve(1.6)
-    assert np.array_equal(curve.piece_select(1.8), first)
-    assert curve.piece_select(1.4) is None
+        curve.state(x)
+    assert _piece_at(curve, 1.7) is None and curve._pieces[1] is False
+    curve.state(1.6)
+    assert np.array_equal(_piece_at(curve, 1.8), first)
+    assert _piece_at(curve, 1.4) is None
 
 
 def test_no_certified_piece_spans_the_near_tie_band():
@@ -393,7 +399,7 @@ def test_no_certified_piece_spans_the_near_tie_band():
     band = [float(x) for x in np.linspace(c * (1.0 - 2e-10), c * (1.0 + 2e-10), 1001)]
     grid = [float(x) for x in np.linspace(iota.min(), curve.slot_cap.level, 60)[1:]]
     for x in grid + band + [c * (1.0 + e) for e in (-1e-3, -1e-6, -1e-8, 1e-8, 1e-6, 1e-3)]:
-        curve.solve(x)
+        curve.state(x)
     colds = [inner._slot_state(x, iota, 1)[0] for x in band]
     flips = [i for i in range(1000) if not np.array_equal(colds[i], colds[i + 1])]
     assert len(flips) >= 20
@@ -402,6 +408,49 @@ def test_no_certified_piece_spans_the_near_tie_band():
     assert len(pieces) >= 20  # away from the band, pieces are certified
     for s, q, _ in pieces:
         assert q <= first or s >= last, (s, q)
+
+
+def test_limits_from_a_curve_with_pieces_equal_a_fresh_stores(monkeypatch):
+    """One-sided limits read from a curve that already holds certified
+    pieces equal those of a fresh store bit for bit, at every matching
+    switch, a few limit offsets around it and inside every piece."""
+    priced = {"sides": 0}
+    state = inner._slot_state
+
+    def counting_state(*args):
+        priced["sides"] += len(args) > 4 and args[4]
+        return state(*args)
+
+    monkeypatch.setattr(inner, "_slot_state", counting_state)
+    rng = np.random.default_rng(43)
+    split = checked = from_pieces = 0
+    for trial in range(20):
+        N, K, cap = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
+        iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
+        curve = SlotCurve(iota, cap, 8.0)
+        lo, hi = float(iota.min()), curve.slot_cap.level
+        switches = [a for a, _ in _switch_levels(iota, cap, lo, hi, grid=40)]
+        for x in [float(x) for x in np.linspace(lo, hi, 25)[1:]]:
+            curve.state(x)
+        for a in switches:
+            for x in (a * (1.0 + sign * 10.0 ** -e) for sign in (-1, 1) for e in (3, 6, 9, 12)):
+                curve.state(x)
+        levels = [0.5 * (s + q) for s, q, _ in _pieces_of(curve)]
+        levels += [a * (1.0 + sign * 10.0 ** -e) for a in switches
+                   for sign in (-1, 1) for e in (5, 7, 8, 10)] + switches
+        for mu in levels:
+            before = priced["sides"]
+            got = curve.limits(mu)
+            from_pieces += priced["sides"] - before
+            want = inner._SlotStore(iota, cap).limits(mu)
+            assert np.array_equal(got.a_minus, want.a_minus), (trial, mu)
+            assert np.array_equal(got.a_plus, want.a_plus), (trial, mu)
+            assert (got.p_minus, got.p_plus, got.r_minus, got.r_plus) == (
+                want.p_minus, want.p_plus, want.r_minus, want.r_plus), (trial, mu)
+            split += not np.array_equal(want.a_minus, want.a_plus)
+            checked += 1
+    assert checked >= 800 and split >= 200
+    assert from_pieces >= 1000  # the curve priced sides inside its pieces
 
 
 def test_solve_interval_rejects_mismatched_curves():
