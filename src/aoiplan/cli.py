@@ -95,18 +95,21 @@ def _load_inputs(args):
     return scenario, profile, seed
 
 
-def _parse_g(spec: str):
-    """Parse a monotone-map spec: a named map, `scale:a`, or `pow:p`."""
+def _parse_g(spec: str, flag: str):
+    """Parse the monotone-map spec given to ``flag``: a named map,
+    `scale:a`, or `pow:p`."""
     if spec in _G_MAPS:
         return _G_MAPS[spec]
-    if spec.startswith("scale:"):
-        a = float(spec.split(":", 1)[1])
-        return lambda x: a * x
-    if spec.startswith("pow:"):
-        p = float(spec.split(":", 1)[1])
-        return lambda x: x**p
+    kind, _, arg = spec.partition(":")
+    if kind in ("scale", "pow"):
+        try:
+            a = float(arg)
+        except ValueError:
+            raise ScenarioValidationError(
+                [f"{flag}: {spec!r} needs a number after '{kind}:'"]) from None
+        return (lambda x: a * x) if kind == "scale" else (lambda x: x**a)
     raise ScenarioValidationError(
-        [f"unknown map {spec!r}; choose from {sorted(_G_MAPS)} or scale:a / pow:p"]
+        [f"{flag}: unknown map {spec!r}; choose from {sorted(_G_MAPS)} or scale:a / pow:p"]
     )
 
 
@@ -210,11 +213,28 @@ def cmd_simulate(args) -> int:
 
 
 def _read_frontier_csv(path) -> list:
-    """Frontier points of an exported frontier CSV, without their plans."""
+    """Frontier points of an exported frontier CSV, without their plans.
+
+    Each row needs a load cap >= 1 and a finite energy >= 0.
+    """
+    points = []
     with open(path, newline="") as fh:
-        points = [pareto.FrontierPoint(load_cap=int(row["epsilon_theta"]),
-                                       energy=float(row["energy_linear"]), plan=None)
-                  for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        missing = sorted({"epsilon_theta", "energy_linear"} - set(reader.fieldnames or ()))
+        if missing:
+            raise PlanFormatError(f"frontier file {path} has no column {', '.join(missing)}")
+        for row in reader:
+            try:
+                cap, energy = int(row["epsilon_theta"]), float(row["energy_linear"])
+                ok = cap >= 1 and 0.0 <= energy < math.inf
+            except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                ok = False
+            if not ok:
+                raise PlanFormatError(
+                    f"frontier file {path} line {reader.line_num}: epsilon_theta "
+                    f"{row['epsilon_theta']!r} or energy_linear {row['energy_linear']!r} "
+                    f"is not a load cap >= 1 and a finite energy >= 0")
+            points.append(pareto.FrontierPoint(load_cap=cap, energy=energy, plan=None))
     if not points:
         raise PlanFormatError(f"frontier file {path} has no rows")
     return points
@@ -222,7 +242,8 @@ def _read_frontier_csv(path) -> list:
 
 def cmd_transform(args) -> int:
     points = _read_frontier_csv(args.frontier)
-    image = pareto.transform_frontier(points, _parse_g(args.g1), _parse_g(args.g2))
+    image = pareto.transform_frontier(points, _parse_g(args.g1, "--g1"),
+                                       _parse_g(args.g2, "--g2"))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["g1_load", "g2_energy"])
@@ -235,12 +256,29 @@ def cmd_transform(args) -> int:
 def cmd_select(args) -> int:
     points = _read_frontier_csv(args.frontier)
     if args.budget is not None:
-        point = pareto.budget_select(points, _parse_g(args.g1), args.budget)
+        point = pareto.budget_select(points, _parse_g(args.g1, "--g1"), args.budget)
         mode = f"budget {args.budget}"
     else:
-        util = pareto.weighted_lp_utility(args.alpha, args.p,
-                                          args.theta_target, args.energy_target)
-        point = pareto.scalarize_select(points, util)
+        problems = [f"{flag} must be finite, got {value}"
+                    for flag, value in (("--theta-target", args.theta_target),
+                                        ("--energy-target", args.energy_target))
+                    if not math.isfinite(value)]
+        if problems:
+            raise ScenarioValidationError(problems)
+        try:
+            util = pareto.weighted_lp_utility(args.alpha, args.p,
+                                              args.theta_target, args.energy_target)
+        except ValueError as exc:  # the message names the parameter: "alpha ..." or "p ..."
+            raise ScenarioValidationError([f"--{exc}"]) from None
+        try:
+            point = pareto.scalarize_select(points, util)
+        except OverflowError:
+            raise ScenarioValidationError(
+                [f"the weighted-Lp utility with --p {args.p} overflows on this frontier"]) from None
+        if point is None:
+            raise ScenarioValidationError(
+                ["no frontier point has a finite weighted-Lp utility with these "
+                 "--alpha, --p, --theta-target and --energy-target"])
         mode = f"weighted-Lp alpha={args.alpha} p={args.p}"
     print(f"selected ({mode}): epsilon_theta {point.load_cap}, energy {_fmt(point.energy)}")
     return EXIT_OK
@@ -255,7 +293,13 @@ def cmd_bench(args) -> int:
     shared machine hits every K alike.  A point is the fastest solve's
     seconds, as ``timeit`` advises.
     """
-    k_list = [int(k) for k in args.k_list.split(",")]
+    try:
+        k_list = [int(k) for k in args.k_list.split(",")]
+    except ValueError:
+        k_list = []
+    if len(set(k_list)) < 2 or min(k_list) < 1:
+        raise ScenarioValidationError(
+            [f"--k-list needs at least two distinct positive integers, got {args.k_list!r}"])
     seed = args.seed if args.seed is not None else 0
     cases = []
     for K in k_list:

@@ -22,11 +22,13 @@ The exported plan is binary: the limit supports are frozen and the water
 level re-solved within them, which meets the rate target and power caps
 exactly at a small measured energy premium over the mixed optimum.
 
-Slot stores.  Every question the solver asks a slot has one form: the
+Slot curves.  Every question the solver asks a slot has one form: the
 kernel's selection, assigned power and assigned rate at a level mu.  One
-:class:`_SlotStore` per slot answers all of them and records every
-answer.  The cap bisection asks a fresh store; the one-sided limits are
-the store's answers just below and just above a level.
+:class:`SlotCurve` per slot and load cap answers all of them and records
+every answer.  :func:`solve_slot_cap` bisects for the cap level on a new
+curve and returns it; a timing graph then shares that curve with every
+interval through the slot, whose water-level probes and one-sided limits
+(the curve's answers just below and just above a level) ask it again.
 
 A slot's matching is piecewise constant in the level, so the selection
 recorded at the nearest level is almost always the answer at the next
@@ -50,17 +52,14 @@ any other gap splits into two unchecked ones.  Inside the cap bisection
 the bracket ends are always adjacent recorded levels, so the bracket is
 certified once both ends hold the same selection.
 
-Slot reuse.  A timing graph asks the same slots the same questions: every
-interval through slot t needs t's cap level and t's kernel rate at many
-levels.  A :class:`SlotCurve` is one slot's store plus its cap solve,
-computed once, and bounds on the kernel rate from the recorded levels.
-The global-level bisection decides ``sum_t rate_t(mu) >= target`` from
-those bounds where it can.  Sequential float addition is monotone in
-every term, so when the summed lower bounds reach the target, or the
-summed upper bounds miss it, the exact sum decides the same way;
-otherwise the slot with the widest bound is asked and the sums retried.
-Every decision, and hence every output bit, equals that of solving every
-slot at every probe.
+The curve also bounds the kernel rate between its recorded levels.  The
+global-level bisection decides ``sum_t rate_t(mu) >= target`` from those
+bounds where it can.  Sequential float addition is monotone in every
+term, so when the summed lower bounds reach the target, or the summed
+upper bounds miss it, the exact sum decides the same way; otherwise the
+slot with the widest bound is asked and the sums retried.  Every
+decision, and hence every output bit, equals that of solving every slot
+at every probe.
 
 The bounds rest on monotonicity: the optimal rate is non-decreasing in
 the level, being -1/ln2 times the derivative of the concave optimal
@@ -120,6 +119,7 @@ __all__ = [
     "assignment_weights",
     "solve_slot_cap",
     "SlotCurve",
+    "slot_curves",
     "solve_interval",
 ]
 
@@ -267,18 +267,23 @@ class _SlotLimits:
     r_plus: float
 
 
-class _SlotStore:
-    """The kernel's selection, power and rate at every level asked so far,
-    for one slot and load cap; see the module docstring."""
+class SlotCurve:
+    """The kernel's selection, power and rate at every level asked so far
+    for one slot and load cap, and bounds on the rate in between with the
+    slack of the module docstring.  :func:`solve_slot_cap` returns one
+    with ``power_cap`` and ``slot_cap`` set."""
 
     def __init__(self, iota2d: np.ndarray, cap: int):
         self.iota2d = iota2d
         self.cap = cap
+        self.power_cap = self.slot_cap = None
         self._levels = []   # sorted recorded levels
         self._rates = []    # kernel rate at each recorded level
         self._selects = []  # kernel selection at each recorded level
         self._pieces = []   # gap below each recorded level: True certified piece,
         #                     False not a piece, None unchecked
+        self._iota_min = float(iota2d.min())
+        self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
 
     def _piece(self, j: int):
         """Selection of the certified piece between recorded levels j-1
@@ -323,7 +328,7 @@ class _SlotStore:
     def limits(self, level: float) -> _SlotLimits:
         """One-sided limit assignments at ``level``, valued at ``level`` itself.
 
-        The selections are the store's at level*(1 -/+ eps), a relative
+        The selections are the curve's at level*(1 -/+ eps), a relative
         perturbation (absolute floor guards level ~ 0) approximating the
         one-sided limits at a critical point; away from criticals both
         sides coincide.
@@ -336,49 +341,6 @@ class _SlotStore:
             sides.append((sel, float(power[sel].sum()), float(rate[sel].sum())))
         (am, pm, rm), (ap, pp, rp) = sides
         return _SlotLimits(am, ap, pm, pp, rm, rp)
-
-
-@dataclass
-class _SlotCap:
-    level: float          # cap water level
-    xi: float             # mixing that pins assigned power to the budget
-    limits: _SlotLimits   # one-sided limits at the cap level
-    rate_at_cap: float    # mixed rate with the slot pinned at its power cap
-
-
-def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> _SlotCap:
-    """Find the slot's cap level: smallest level whose assigned power
-    reaches the per-slot budget, with the mixing coefficient that lands on
-    the budget exactly when the crossing happens at a matching switch.
-
-    The bisection and the limits ask one fresh :class:`_SlotStore`.
-    """
-    store = _SlotStore(iota2d, cap)
-    hi = float(iota2d.max()) + float(power_cap)  # assigned power >= hi - max(iota) there
-    level = _bisect(float(iota2d.min()), hi, lambda mid: store.state(mid)[1] >= power_cap)
-    lim = store.limits(level)
-    gap = lim.p_plus - lim.p_minus
-    if gap > POWER_REL_TOL * power_cap and lim.p_minus <= power_cap <= lim.p_plus:
-        xi = (power_cap - lim.p_minus) / gap
-    else:
-        xi = 1.0
-    rate_at_cap = (1.0 - xi) * lim.r_minus + xi * lim.r_plus
-    return _SlotCap(level=level, xi=xi, limits=lim, rate_at_cap=rate_at_cap)
-
-
-class SlotCurve(_SlotStore):
-    """One slot's store and cap solve for one (slot, load cap, power cap);
-    shared by every interval through the slot.
-
-    Bounds carry the near-optimality slack of the module docstring.
-    """
-
-    def __init__(self, iota2d: np.ndarray, cap: int, power_cap: float):
-        super().__init__(iota2d, cap)
-        self.power_cap = power_cap
-        self.slot_cap = solve_slot_cap(iota2d, cap, power_cap)
-        self._iota_min = float(iota2d.min())
-        self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
 
     def _slack(self, level: float) -> float:
         """Kernel suboptimality bound at ``level``, divided by ln 2."""
@@ -403,6 +365,42 @@ class SlotCurve(_SlotStore):
             s, r = levels[j], rates[j]
             hi = r + (own + self._slack(s)) / (s - level) + CURVE_EPS * (1.0 + r)
         return lo, hi
+
+
+@dataclass
+class _SlotCap:
+    level: float          # cap water level
+    xi: float             # mixing that pins assigned power to the budget
+    limits: _SlotLimits   # one-sided limits at the cap level
+    rate_at_cap: float    # mixed rate with the slot pinned at its power cap
+
+
+def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> SlotCurve:
+    """Find the slot's cap level: smallest level whose assigned power
+    reaches the per-slot budget, with the mixing coefficient that lands on
+    the budget exactly when the crossing happens at a matching switch.
+
+    The bisection and the limits ask a new :class:`SlotCurve`, which is
+    returned with ``power_cap`` and ``slot_cap`` set.
+    """
+    curve = SlotCurve(iota2d, cap)
+    hi = float(iota2d.max()) + float(power_cap)  # assigned power >= hi - max(iota) there
+    level = _bisect(float(iota2d.min()), hi, lambda mid: curve.state(mid)[1] >= power_cap)
+    lim = curve.limits(level)
+    gap = lim.p_plus - lim.p_minus
+    if gap > POWER_REL_TOL * power_cap and lim.p_minus <= power_cap <= lim.p_plus:
+        xi = (power_cap - lim.p_minus) / gap
+    else:
+        xi = 1.0
+    rate_at_cap = (1.0 - xi) * lim.r_minus + xi * lim.r_plus
+    curve.power_cap = power_cap
+    curve.slot_cap = _SlotCap(level=level, xi=xi, limits=lim, rate_at_cap=rate_at_cap)
+    return curve
+
+
+def slot_curves(iota3d: np.ndarray, cap: int, power_cap: float) -> list:
+    """One :func:`solve_slot_cap` curve per slot of ``iota3d`` (N, K, L)."""
+    return [solve_slot_cap(iota3d[:, :, t], cap, power_cap) for t in range(iota3d.shape[2])]
 
 
 def _rate_reaches(slots, mu: float, vbar: float) -> bool:
@@ -523,7 +521,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         return _zero_solution(N, K, L)
 
     if slots is None:
-        slots = [SlotCurve(iota3d[:, :, t], spec.rb_cap, spec.power_cap) for t in range(L)]
+        slots = slot_curves(iota3d, spec.rb_cap, spec.power_cap)
     elif len(slots) != L or any(
             c.cap != spec.rb_cap or c.power_cap != spec.power_cap for c in slots):
         raise ValueError(f"slot curves do not match interval [{spec.start}, {spec.end})")

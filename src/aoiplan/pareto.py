@@ -139,9 +139,9 @@ def weighted_lp_utility(alpha: float, p: float, theta_target: float = 0.0,
                         energy_target: float = 0.0):
     """Weighted L_p preference (alpha |theta - t'|^p + (1-alpha)|E - E'|^p)^(1/p)."""
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
 
     def utility(theta, energy):
         return (

@@ -302,8 +302,7 @@ def expected_trace(plan: PolicyPlan, profile: ChannelProfile) -> AoiTrace:
     return _success_trace(plan, _payload_per_slot(plan, profile, None))
 
 
-def simulate(plan: PolicyPlan | SamplingPlan, profile: ChannelProfile,
-             replicas: int, seed: int, scenario: Scenario | None = None,
+def simulate(plan: PolicyPlan, profile: ChannelProfile, replicas: int, seed: int,
              keep_traces: bool = False) -> SimReport:
     """Monte Carlo the realized delivery process of a plan.
 
@@ -312,10 +311,6 @@ def simulate(plan: PolicyPlan | SamplingPlan, profile: ChannelProfile,
     plan's assignment mask and power times gain are computed once per
     call.
     """
-    if isinstance(plan, SamplingPlan):
-        if scenario is None:
-            raise ValueError("wrapping a SamplingPlan requires the scenario")
-        plan = policy_plan_from_sampling(plan, scenario)
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
 

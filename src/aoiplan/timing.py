@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .channel import ChannelProfile
 from .errors import NoFeasiblePlanError
-from .inner import Infeasible, IntervalSpec, SlotCurve, solve_interval
+from .inner import Infeasible, IntervalSpec, slot_curves, solve_interval
 from .numeric import seq_sum
 from .scenario import Scenario
 
@@ -99,7 +99,7 @@ def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
         raise ValueError(f"edges are solved serially; jobs must be 1, got {jobs!r}")
     T, tau = scenario.horizon_T, scenario.aoi_bound_tau
     power_cap = scenario.power_budget_pbar
-    curves = [SlotCurve(profile.iota[:, :, t], rb_cap, power_cap) for t in range(T)]
+    curves = slot_curves(profile.iota[:, :, :T], rb_cap, power_cap)
     graph = TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap)
     for i, j in _edge_targets(T, tau):
         spec = IntervalSpec(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoiplan import build_profile
+from aoiplan import build_profile, pareto
 from aoiplan.channel import save_profile
 from aoiplan.cli import _build_parser, main
 from aoiplan.scenario import save_scenario
@@ -247,6 +247,56 @@ def test_select_budget_rejects_a_decreasing_load_map(desk_files, tmp_path, capsy
     assert "g1 is not strictly increasing" in capsys.readouterr().err
 
 
+def _frontier_csv(path, rows, header="epsilon_theta,energy_linear,energy_dbm,num_samples,instants"):
+    path.write_text("\n".join([header] + rows) + "\n")
+    return str(path)
+
+
+def test_select_rejects_unusable_preferences(tmp_path, capsys):
+    fcsv = _frontier_csv(tmp_path / "f.csv", ["2,0.8,0,1,1", "3,0.6,0,1,1"])
+    for flags, flag in ((["--alpha", "1.5"], "--alpha"), (["--alpha", "nan"], "--alpha"),
+                        (["--p", "nan"], "--p"), (["--p", "0.5"], "--p"), (["--p", "inf"], "--p"),
+                        (["--p", "1000"], "--p"), (["--energy-target", "inf"], "--energy-target")):
+        capsys.readouterr()
+        assert main(["select", "--frontier", fcsv] + flags) == 2, flags
+        assert flag in capsys.readouterr().err, flags
+    # every utility is nan: (1 - alpha) * |1e308 + 1e308| is 0 * inf
+    huge = _frontier_csv(tmp_path / "h.csv", ["2,1.5e308,0,1,1", "3,1e308,0,1,1"])
+    capsys.readouterr()
+    assert main(["select", "--frontier", huge, "--alpha", "1",
+                 "--energy-target=-1e308"]) == 2
+    assert "--energy-target" in capsys.readouterr().err
+    # a large exponent that does not overflow still selects as the library does
+    points = [pareto.FrontierPoint(2, 0.8, None), pareto.FrontierPoint(3, 0.6, None)]
+    want = pareto.scalarize_select(points, pareto.weighted_lp_utility(0.5, 1000.0, 2.5, 0.75))
+    capsys.readouterr()
+    assert main(["select", "--frontier", fcsv, "--p", "1000", "--theta-target", "2.5",
+                 "--energy-target", "0.75"]) == 0
+    assert f"epsilon_theta {want.load_cap}," in capsys.readouterr().out
+
+
+def test_transform_and_select_reject_malformed_inputs(tmp_path, capsys):
+    good = _frontier_csv(tmp_path / "f.csv", ["2,0.8,0,1,1", "3,0.6,0,1,1"])
+    out = str(tmp_path / "t.csv")
+    capsys.readouterr()
+    assert main(["transform", "--frontier", good, "--g1", "scale:abc",
+                 "--g2", "identity", "--out", out]) == 2
+    assert "--g1" in capsys.readouterr().err
+    assert main(["transform", "--frontier", good, "--g1", "identity",
+                 "--g2", "pow:", "--out", out]) == 2
+    assert "--g2" in capsys.readouterr().err
+    no_cap = _frontier_csv(tmp_path / "n.csv", ["0.8,0,1,1"],
+                           header="energy_linear,energy_dbm,num_samples,instants")
+    bad_cell = _frontier_csv(tmp_path / "b.csv", ["2,0.8,0,1,1", "3.5,0.6,0,1,1"])
+    short = _frontier_csv(tmp_path / "s.csv", ["2,0.8,0,1,1", "3"])
+    for path, words in ((no_cap, "epsilon_theta"), (bad_cell, "line 3"), (short, "line 3")):
+        for cmd in (["transform", "--frontier", path, "--g1", "identity", "--g2", "identity",
+                     "--out", out], ["select", "--frontier", path]):
+            assert main(cmd) == 2, (path, cmd)
+            err = capsys.readouterr().err
+            assert path in err and words in err, err
+
+
 # ---------------------------------------------------------------- bench / oracle
 
 def test_bench_prints_slope(capsys):
@@ -256,6 +306,14 @@ def test_bench_prints_slope(capsys):
     out = capsys.readouterr().out
     assert "log-log slope:" in out
     assert out.startswith("K,seconds")
+
+
+def test_bench_rejects_k_lists_it_cannot_fit(capsys):
+    for k_list in ("10", "10,abc", "10,10", "0,10", ""):
+        capsys.readouterr()
+        assert main(["bench", "--k-list", k_list, "--repeats", "1"]) == 2, k_list
+        captured = capsys.readouterr()
+        assert "--k-list" in captured.err and "slope" not in captured.out, k_list
 
 
 def test_bench_slope_repeatable(capsys):

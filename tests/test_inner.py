@@ -10,6 +10,7 @@ from aoiplan.inner import (
     Infeasible,
     IntervalSpec,
     SlotCurve,
+    slot_curves,
     solve_interval,
     solve_slot_cap,
     water_fill,
@@ -54,7 +55,7 @@ def extended_power(level, xi, iota2d, cap):
     """Mixed-limit slot power (1-xi) * P(level-) + xi * P(level+)."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    lim = inner._SlotStore(iota2d, cap).limits(level)
+    lim = inner.SlotCurve(iota2d, cap).limits(level)
     return (1.0 - xi) * lim.p_minus + xi * lim.p_plus
 
 
@@ -62,7 +63,7 @@ def extended_rate(level, xi, iota2d, cap):
     """Mixed-limit slot rate (1-xi) * R(level-) + xi * R(level+)."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    lim = inner._SlotStore(iota2d, cap).limits(level)
+    lim = inner.SlotCurve(iota2d, cap).limits(level)
     return (1.0 - xi) * lim.r_minus + xi * lim.r_plus
 
 
@@ -111,18 +112,18 @@ def test_extended_rejects_bad_mix():
 
 def test_slot_cap_single_entry():
     cap = solve_slot_cap(np.array([[1.0]]), 1, 4.0)
-    assert cap.level == pytest.approx(5.0, rel=1e-9)
+    assert cap.slot_cap.level == pytest.approx(5.0, rel=1e-9)
 
 
 def test_slot_cap_two_identical_rbs():
     cap = solve_slot_cap(np.array([[1.0, 1.0]]), 2, 6.0)
-    assert cap.level == pytest.approx(4.0, rel=1e-9)
+    assert cap.slot_cap.level == pytest.approx(4.0, rel=1e-9)
 
 
 def test_slot_cap_vanishing_budget():
     cap = solve_slot_cap(np.array([[1.0, 2.0]]), 2, 1e-9)
-    assert cap.level == pytest.approx(1.0, rel=1e-6)
-    assert cap.level > 1.0
+    assert cap.slot_cap.level == pytest.approx(1.0, rel=1e-6)
+    assert cap.slot_cap.level > 1.0
 
 
 # ---------------------------------------------------------------- solve_interval
@@ -286,7 +287,7 @@ def test_slot_curve_bounds_settle_like_direct_sums():
     for seed in range(5):
         prof = synthetic_profile(100 + seed, N=3, K=4, L=3)
         cap, power_cap = 1 + seed % 2, 6.0
-        slots = [SlotCurve(prof.iota[:, :, t], cap, power_cap) for t in range(3)]
+        slots = slot_curves(prof.iota, cap, power_cap)
         lo, hi = float(prof.iota.min()), max(c.slot_cap.level for c in slots)
         switches = []
         for c in slots:
@@ -347,16 +348,17 @@ def test_certified_pieces_hold_the_cold_selection_inside():
     for trial in range(30):
         N, K, cap = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
         iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
-        curve = SlotCurve(iota, cap, 8.0)
+        curve = solve_slot_cap(iota, cap, 8.0)
         lo, hi = float(iota.min()), curve.slot_cap.level
+        cap_levels = list(curve._levels)
         seeds = [float(x) for x in np.linspace(lo, hi, 25)[1:]]
         for a, _ in _switch_levels(iota, cap, lo, hi, grid=40):
             seeds += [a * (1.0 + sign * 10.0 ** -e) for sign in (-1, 1) for e in (3, 6, 9, 12)]
         for x in seeds:
             curve.state(x)
-        # stored levels, rates and selections are those of cold solves,
-        # whatever order the levels were solved in
-        assert curve._levels == sorted(set(seeds))
+        # stored levels (the cap solve's and the seeds), rates and selections
+        # are those of cold solves, whatever order the levels were solved in
+        assert curve._levels == sorted(set(seeds) | set(cap_levels))
         for x, rate, select in zip(curve._levels, curve._rates, curve._selects):
             cold = inner._slot_state(x, iota, cap)
             assert rate == cold[2] and np.array_equal(select, cold[0])
@@ -381,7 +383,7 @@ def test_piece_refused_with_a_floor_inside_or_just_below():
     assert not inner._piece_certified(iota, 1, 1.2, 2.0, first)  # floor 1.5 inside
     assert not inner._piece_certified(iota, 1, 1.5 * (1.0 + 5e-7), 2.0, first)
     assert inner._piece_certified(iota, 1, 1.5 * (1.0 + 2e-6), 2.0, first)
-    curve = SlotCurve(iota, 1, 6.0)
+    curve = SlotCurve(iota, 1)
     for x in (1.2, 2.0):
         curve.state(x)
     assert _piece_at(curve, 1.7) is None and curve._pieces[1] is False
@@ -395,7 +397,7 @@ def test_no_certified_piece_spans_the_near_tie_band():
     relative band of levels: no piece may be certified across it."""
     iota = synthetic_profile(100, N=3, K=4, L=3).iota[:, :, 1]
     c = 0.1306607475
-    curve = SlotCurve(iota, 1, 6.0)
+    curve = solve_slot_cap(iota, 1, 6.0)
     band = [float(x) for x in np.linspace(c * (1.0 - 2e-10), c * (1.0 + 2e-10), 1001)]
     grid = [float(x) for x in np.linspace(iota.min(), curve.slot_cap.level, 60)[1:]]
     for x in grid + band + [c * (1.0 + e) for e in (-1e-3, -1e-6, -1e-8, 1e-8, 1e-6, 1e-3)]:
@@ -427,7 +429,7 @@ def test_limits_from_a_curve_with_pieces_equal_a_fresh_stores(monkeypatch):
     for trial in range(20):
         N, K, cap = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
         iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
-        curve = SlotCurve(iota, cap, 8.0)
+        curve = solve_slot_cap(iota, cap, 8.0)
         lo, hi = float(iota.min()), curve.slot_cap.level
         switches = [a for a, _ in _switch_levels(iota, cap, lo, hi, grid=40)]
         for x in [float(x) for x in np.linspace(lo, hi, 25)[1:]]:
@@ -442,7 +444,7 @@ def test_limits_from_a_curve_with_pieces_equal_a_fresh_stores(monkeypatch):
             before = priced["sides"]
             got = curve.limits(mu)
             from_pieces += priced["sides"] - before
-            want = inner._SlotStore(iota, cap).limits(mu)
+            want = inner.SlotCurve(iota, cap).limits(mu)
             assert np.array_equal(got.a_minus, want.a_minus), (trial, mu)
             assert np.array_equal(got.a_plus, want.a_plus), (trial, mu)
             assert (got.p_minus, got.p_plus, got.r_minus, got.r_plus) == (
@@ -456,9 +458,9 @@ def test_limits_from_a_curve_with_pieces_equal_a_fresh_stores(monkeypatch):
 def test_solve_interval_rejects_mismatched_curves():
     prof = synthetic_profile(3)
     spec = IntervalSpec(start=1, end=3, rb_cap=1, rate_target=1.0, power_cap=5.0)
-    curves = [SlotCurve(prof.iota[:, :, t], 1, 5.0) for t in range(3)]
+    curves = slot_curves(prof.iota, 1, 5.0)
     with pytest.raises(ValueError):
         solve_interval(spec, prof, curves)
     with pytest.raises(ValueError):
-        solve_interval(spec, prof, [SlotCurve(prof.iota[:, :, t], 2, 5.0) for t in range(2)])
+        solve_interval(spec, prof, slot_curves(prof.iota[:, :, :2], 2, 5.0))
     assert solve_interval(spec, prof, curves[:2]).energy == solve_interval(spec, prof).energy

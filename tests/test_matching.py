@@ -3,7 +3,7 @@ import pytest
 
 import aoiplan.inner as inner
 import aoiplan.matching as matching
-from aoiplan.inner import _SlotStore, assignment_weights
+from aoiplan.inner import SlotCurve, assignment_weights
 from aoiplan.matching import AssignmentProblem, _certified, min_cost_b_matching
 from aoiplan.oracle import oracle_matching
 from aoiplan.timing import build_graph
@@ -135,13 +135,13 @@ def test_rejects_bad_problems():
 
 def test_limits_below_activation_are_empty():
     iota = np.array([[2.0, 3.0], [4.0, 5.0]])
-    lim = _SlotStore(iota, 1).limits(1.0)
+    lim = SlotCurve(iota, 1).limits(1.0)
     assert lim.a_minus.sum() == 0 and lim.a_plus.sum() == 0
 
 
 def test_limits_coincide_away_from_critical():
     iota = np.array([[1.0, 3.0], [2.5, 9.0]])
-    lim = _SlotStore(iota, 1).limits(2.0)
+    lim = SlotCurve(iota, 1).limits(2.0)
     assert np.array_equal(lim.a_minus, lim.a_plus)
     assert lim.a_minus[0, 0] == 1
 
@@ -171,7 +171,7 @@ def test_limits_split_at_constructed_tie():
             hi = mid
     critical = 0.5 * (lo + hi)
 
-    lim = _SlotStore(iota, cap).limits(critical)
+    lim = SlotCurve(iota, cap).limits(critical)
     assert not np.array_equal(lim.a_minus, lim.a_plus)
     assert lim.a_minus.sum() == 1 and lim.a_plus.sum() == 2
     w_at = weights(critical)

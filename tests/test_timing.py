@@ -159,18 +159,34 @@ def test_shared_slot_curves_match_standalone_solves(small_scenario, small_profil
 
 
 def test_slot_cap_solved_once_per_slot(small_scenario, small_profile, monkeypatch):
-    calls = []
-    real = aoiplan.inner.solve_slot_cap
+    """Each slot's cap is solved once, and the curve it is solved on is the
+    one every interval through the slot asks, so it keeps the bisection's
+    levels."""
+    calls, cap_levels, asked = [], {}, {}
+    real, solve = aoiplan.inner.solve_slot_cap, aoiplan.timing.solve_interval
 
     def counting(iota2d, cap, power_cap):
         calls.append(cap)
-        return real(iota2d, cap, power_cap)
+        curve = real(iota2d, cap, power_cap)
+        cap_levels[id(curve)] = list(curve._levels)
+        return curve
+
+    def recording(spec, profile, slots):
+        asked.update((id(c), c) for c in slots)
+        return solve(spec, profile, slots)
 
     monkeypatch.setattr(aoiplan.inner, "solve_slot_cap", counting)
+    monkeypatch.setattr(aoiplan.timing, "solve_interval", recording)
     for cap in (1, 2):
         calls.clear()
+        cap_levels.clear()
+        asked.clear()
         build_graph(small_scenario, small_profile, rb_cap=cap)
         assert calls == [cap] * small_scenario.horizon_T
+        assert asked.keys() == cap_levels.keys()
+        for key, curve in asked.items():
+            assert curve.slot_cap.level in cap_levels[key]
+            assert set(cap_levels[key]) <= set(curve._levels)
 
 
 def test_piece_counts_repeat_exactly(small_scenario, small_profile, monkeypatch):
