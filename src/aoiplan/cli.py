@@ -95,6 +95,20 @@ def _load_inputs(args):
     return scenario, profile, seed
 
 
+def _check_margin(margin: float) -> None:
+    if not 1.0 <= margin < math.inf:
+        raise ScenarioValidationError([f"--margin must be a finite number >= 1, got {margin}"])
+
+
+def _load_cap(args, default: int | None) -> int:
+    """The --epsilon-theta load cap, which must be >= 1; ``default`` when absent."""
+    if args.epsilon_theta is None:
+        return default
+    if args.epsilon_theta < 1:
+        raise ScenarioValidationError([f"--epsilon-theta must be >= 1, got {args.epsilon_theta}"])
+    return args.epsilon_theta
+
+
 def _parse_g(spec: str, flag: str):
     """Parse the monotone-map spec given to ``flag``: a named map,
     `scale:a`, or `pow:p`."""
@@ -140,10 +154,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    cap = _load_cap(args, None)  # the flag is required
+    _check_margin(args.margin)
     scenario, profile, seed = _load_inputs(args)
-    if args.epsilon_theta < 1:
-        raise ScenarioValidationError([f"--epsilon-theta must be >= 1, got {args.epsilon_theta}"])
-    graph = build_graph(scenario, profile, args.epsilon_theta, rate_margin=args.margin)
+    graph = build_graph(scenario, profile, cap, rate_margin=args.margin)
     if args.graph_csv:
         export_graph_csv(graph, args.graph_csv)
     plan = shortest_path(graph)
@@ -174,21 +188,18 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario, profile, seed = _load_inputs(args)
+    if (args.plan is None) == (args.policy is None):
+        raise ScenarioValidationError(["give exactly one of --plan and --policy"])
     if args.replicas < 1:
         raise ScenarioValidationError([f"--replicas must be >= 1, got {args.replicas}"])
-    if args.plan:
+    _check_margin(args.margin)
+    scenario, profile, seed = _load_inputs(args)
+    if args.plan is not None:
         policy, _header = planfile.load_plan(args.plan)
         planfile.validate_plan_rates(policy, profile)
     else:
-        cap = args.epsilon_theta if args.epsilon_theta else scenario.num_rb_K
-        builders = {
-            "age-aware": sim.age_aware_plan,
-            "periodic": sim.baseline_periodic,
-            "instantaneous": sim.baseline_instantaneous,
-            "average": sim.baseline_average,
-        }
-        policy = builders[args.policy](scenario, profile, cap, rate_margin=args.margin)
+        cap = _load_cap(args, scenario.num_rb_K)
+        policy = sim.POLICIES[args.policy](scenario, profile, cap, rate_margin=args.margin)
     report = sim.simulate(policy, profile, args.replicas, seed,
                           keep_traces=bool(args.trace))
     if args.trace:
@@ -297,9 +308,14 @@ def cmd_bench(args) -> int:
         k_list = [int(k) for k in args.k_list.split(",")]
     except ValueError:
         k_list = []
+    problems = [f"{flag} must be >= 1, got {value}"
+                for flag, value in (("--n", args.n), ("--slots", args.slots), ("--cap", args.cap))
+                if value < 1]
     if len(set(k_list)) < 2 or min(k_list) < 1:
-        raise ScenarioValidationError(
-            [f"--k-list needs at least two distinct positive integers, got {args.k_list!r}"])
+        problems.append(
+            f"--k-list needs at least two distinct positive integers, got {args.k_list!r}")
+    if problems:
+        raise ScenarioValidationError(problems)
     seed = args.seed if args.seed is not None else 0
     cases = []
     for K in k_list:
@@ -337,8 +353,12 @@ def cmd_oracle(args) -> int:
     scenario, profile, _ = _load_inputs(args)
     budget = OracleBudget()
     if args.op == "inner":
+        if not 1 <= args.start < args.end <= scenario.horizon_T + 1:
+            raise ScenarioValidationError(
+                [f"--start {args.start} and --end {args.end} must satisfy "
+                 f"1 <= start < end <= {scenario.horizon_T + 1}"])
         spec = IntervalSpec(start=args.start, end=args.end,
-                            rb_cap=args.epsilon_theta or 1,
+                            rb_cap=_load_cap(args, 1),
                             rate_target=scenario.payload_threshold_vbar,
                             power_cap=scenario.power_budget_pbar)
         ours = solve_interval(spec, profile)
@@ -349,7 +369,7 @@ def cmd_oracle(args) -> int:
             return EXIT_INFEASIBLE
         print(f"oracle energy {_fmt(ref)}, solver energy {_fmt(ours.energy)}")
     else:  # plan
-        cap = args.epsilon_theta or scenario.num_rb_K
+        cap = _load_cap(args, scenario.num_rb_K)
         budget.check_plan(scenario.horizon_T, scenario.aoi_bound_tau)
         graph = build_graph(scenario, profile, cap)
 
@@ -404,10 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo a plan file or a named policy")
     common(p)
     p.add_argument("--plan", help="plan file to evaluate")
-    p.add_argument("--policy", choices=["age-aware", "periodic", "instantaneous", "average"],
+    p.add_argument("--policy", choices=list(sim.POLICIES),
                    help="build and evaluate a named policy")
     p.add_argument("--epsilon-theta", type=int, help="load cap for named policies")
-    p.add_argument("--margin", type=float, default=1.0)
+    p.add_argument("--margin", type=float, default=1.0, help="rate-target margin >= 1")
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--out", help="report JSON destination")
     p.add_argument("--trace", help="trace CSV destination")

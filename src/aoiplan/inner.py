@@ -143,10 +143,10 @@ class IntervalSpec:
             raise ValueError(f"need 1 <= start < end, got [{self.start}, {self.end})")
         if self.rb_cap < 1:
             raise ValueError("rb_cap must be >= 1")
-        if self.rate_target < 0.0:
-            raise ValueError("rate_target must be >= 0")
-        if self.power_cap <= 0.0:
-            raise ValueError("power_cap must be > 0")
+        if not self.rate_target >= 0.0:  # NaN would never settle the rate bisection
+            raise ValueError(f"rate_target must be >= 0, got {self.rate_target}")
+        if not 0.0 < self.power_cap < math.inf:
+            raise ValueError(f"power_cap must be a finite number > 0, got {self.power_cap}")
 
     @property
     def num_slots(self) -> int:

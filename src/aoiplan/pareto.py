@@ -108,12 +108,16 @@ def compute_frontier(scenario: Scenario, profile: ChannelProfile,
 
 
 def _check_strictly_increasing(fn, lo: float, hi: float, name: str, samples: int = 257):
-    """Reject maps that are not strictly increasing on [lo, hi] (sampled)."""
+    """Reject maps that are not strictly increasing on [lo, hi] (sampled),
+    or that fail to evaluate there (say 0 ** -1 or an overflow)."""
     if lo == hi:
         grid = np.array([lo, lo + max(abs(lo), 1.0) * 1e-6])
     else:
         grid = np.linspace(lo, hi, samples)
-    vals = [fn(float(x)) for x in grid]
+    try:
+        vals = [fn(float(x)) for x in grid]
+    except ArithmeticError as exc:
+        raise MonotonicityError(f"{name} cannot be evaluated on [{lo}, {hi}]: {exc}") from exc
     for (x0, v0), (x1, v1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
         if not v1 > v0:
             raise MonotonicityError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelProfile, capacity_lower_bound
 from .errors import PlanFormatError
-from .sim import Leg, PolicyPlan
+from .sim import SUCCESS_MODES, Leg, PolicyPlan
 
 FORMAT_TAG = "aoiplan-plan-v1"
 _POWER_SLACK = 1.0 + 1e-9
@@ -84,6 +84,8 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         threshold = float(doc["delivery_threshold"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PlanFormatError(f"plan header incomplete or malformed: {exc}") from exc
+    if mode not in SUCCESS_MODES:
+        raise PlanFormatError(f"unknown success_mode {mode!r}; expected one of {SUCCESS_MODES}")
 
     plan = PolicyPlan(
         kind=kind, horizon=horizon, aoi_bound=aoi_bound, rb_cap=rb_cap,

@@ -8,6 +8,12 @@ the peak age never exceeds the bound, which for an interval plan is
 equivalent to every interval fitting inside the bound and delivering on
 time.
 
+One delivery loop serves both accounting modes: an 'interval' plan resets
+its payload accumulator at every leg boundary and delivers at most once
+per leg, while a 'streaming' plan resets it only after each delivery.  The
+baselines fix their leg boundaries in advance and share one leg loop;
+:data:`POLICIES` names every policy builder.
+
 Two success notions are reported side by side: the planner's own
 expected-payload rule (deterministic, uses the capacity surrogate) and the
 realized rule (payload from the sampled fading), since plans target the
@@ -29,11 +35,13 @@ from .scenario import Scenario
 from .timing import SamplingPlan, build_graph, shortest_path
 
 __all__ = [
-    "Leg", "PolicyPlan", "AoiTrace", "SimReport",
+    "Leg", "PolicyPlan", "AoiTrace", "SimReport", "SUCCESS_MODES", "POLICIES",
     "policy_plan_from_sampling", "age_aware_plan",
     "baseline_periodic", "baseline_instantaneous", "baseline_average",
     "simulate", "export_trace_csv",
 ]
+
+SUCCESS_MODES = ("interval", "streaming")
 
 
 @dataclass
@@ -144,17 +152,15 @@ def age_aware_plan(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
     return policy_plan_from_sampling(plan, scenario)
 
 
-def baseline_periodic(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
-                      rate_margin: float = 1.0) -> PolicyPlan:
-    """Sample every aoi_bound slots regardless of predicted channel quality."""
-    T, tau = scenario.horizon_T, scenario.aoi_bound_tau
-    starts = list(range(1, T + 1, tau))
-    bounds = starts + [T + 1]
+def _fixed_plan(kind: str, mode: str, scenario: Scenario, profile: ChannelProfile,
+                rb_cap: int, starts, target: float) -> PolicyPlan:
+    """Legs from each of ``starts`` to the next (the last to T + 1), each solved for ``target``."""
+    T = scenario.horizon_T
     plan = PolicyPlan(
-        kind="periodic", horizon=T, aoi_bound=tau, rb_cap=rb_cap,
-        delivery_threshold=scenario.payload_threshold_vbar, success_mode="interval",
+        kind=kind, horizon=T, aoi_bound=scenario.aoi_bound_tau, rb_cap=rb_cap,
+        delivery_threshold=scenario.payload_threshold_vbar, success_mode=mode,
     )
-    target = scenario.payload_threshold_vbar * rate_margin
+    bounds = [*starts, T + 1]
     for i, j in zip(bounds[:-1], bounds[1:]):
         spec = IntervalSpec(start=i, end=j, rb_cap=rb_cap, rate_target=target,
                             power_cap=scenario.power_budget_pbar)
@@ -162,21 +168,20 @@ def baseline_periodic(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
     return plan
 
 
+def baseline_periodic(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
+                      rate_margin: float = 1.0) -> PolicyPlan:
+    """Sample every aoi_bound slots regardless of predicted channel quality."""
+    return _fixed_plan("periodic", "interval", scenario, profile, rb_cap,
+                       range(1, scenario.horizon_T + 1, scenario.aoi_bound_tau),
+                       scenario.payload_threshold_vbar * rate_margin)
+
+
 def baseline_instantaneous(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
                            rate_margin: float = 1.0) -> PolicyPlan:
     """Deliver threshold/aoi_bound expected rate in every single slot."""
-    T, tau = scenario.horizon_T, scenario.aoi_bound_tau
-    per_slot = scenario.payload_threshold_vbar * rate_margin / tau
-    plan = PolicyPlan(
-        kind="instantaneous", horizon=T, aoi_bound=tau, rb_cap=rb_cap,
-        delivery_threshold=scenario.payload_threshold_vbar, success_mode="streaming",
-    )
-    for t in range(1, T + 1):
-        spec = IntervalSpec(start=t, end=t + 1, rb_cap=rb_cap, rate_target=per_slot,
-                            power_cap=scenario.power_budget_pbar)
-        sol = solve_interval(spec, profile)
-        plan.legs.append(_leg_from_solution(scenario, t, t + 1, per_slot, sol))
-    return plan
+    return _fixed_plan("instantaneous", "streaming", scenario, profile, rb_cap,
+                       range(1, scenario.horizon_T + 1),
+                       scenario.payload_threshold_vbar * rate_margin / scenario.aoi_bound_tau)
 
 
 def baseline_average(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
@@ -184,15 +189,17 @@ def baseline_average(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
     """Single whole-horizon solve with the averaged target; no per-interval
     guarantee, so the freshness bound may be violated in simulation."""
     T, tau = scenario.horizon_T, scenario.aoi_bound_tau
-    target = scenario.payload_threshold_vbar * rate_margin * T / tau
-    plan = PolicyPlan(
-        kind="average", horizon=T, aoi_bound=tau, rb_cap=rb_cap,
-        delivery_threshold=scenario.payload_threshold_vbar, success_mode="streaming",
-    )
-    spec = IntervalSpec(start=1, end=T + 1, rb_cap=rb_cap, rate_target=target,
-                        power_cap=scenario.power_budget_pbar)
-    plan.legs.append(_leg_from_solution(scenario, 1, T + 1, target, solve_interval(spec, profile)))
-    return plan
+    return _fixed_plan("average", "streaming", scenario, profile, rb_cap, [1],
+                       scenario.payload_threshold_vbar * rate_margin * T / tau)
+
+
+# name -> builder(scenario, profile, rb_cap, rate_margin=1.0) of every named policy
+POLICIES = {
+    "age-aware": age_aware_plan,
+    "periodic": baseline_periodic,
+    "instantaneous": baseline_instantaneous,
+    "average": baseline_average,
+}
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +212,6 @@ class AoiTrace:
 
     age: np.ndarray          # (T+1,) integer ages, age[0] anchors slot 1 at 0
     success: np.ndarray      # (T,) booleans, success fired at end of slot t
-    delivered: list          # realized payload accumulated per leg
     cum_payload: np.ndarray  # (T,) running payload within the accounting window
     peak_age: int
 
@@ -227,54 +233,38 @@ def _success_trace(plan: PolicyPlan, payload: np.ndarray) -> AoiTrace:
     """Apply the delivery rule to a per-slot payload vector.
 
     'interval' mode resets the accumulator at leg boundaries (a new sample
-    aborts any unfinished delivery) and fires at most one success per leg;
-    'streaming' mode fires whenever the threshold accumulates since the
-    previous success.
+    aborts any unfinished delivery) and fires at most once per leg;
+    'streaming' mode resets it only after a success.
     """
-    T = plan.horizon
-    success = np.zeros(T, dtype=bool)
-    cum = np.zeros(T)
-    delivered = []
-    thresh = plan.delivery_threshold
-    if plan.success_mode == "interval":
-        for leg in plan.legs:
-            acc = 0.0
-            fired = False
-            for t in range(leg.start, leg.end):
-                acc += payload[t - 1]
-                cum[t - 1] = acc
-                if not fired and acc >= thresh - 1e-12:
-                    success[t - 1] = True
-                    fired = True
-            delivered.append(acc)
-    elif plan.success_mode == "streaming":
-        acc = 0.0
-        for leg in plan.legs:
-            leg_acc = 0.0
-            for t in range(leg.start, leg.end):
-                acc += payload[t - 1]
-                leg_acc += payload[t - 1]
-                cum[t - 1] = acc
-                if acc >= thresh - 1e-12:
-                    success[t - 1] = True
-                    acc = 0.0
-            delivered.append(leg_acc)
-    else:
+    if plan.success_mode not in SUCCESS_MODES:
         raise ValueError(f"unknown success mode {plan.success_mode!r}")
+    interval = plan.success_mode == "interval"
+    fire_at = plan.delivery_threshold - 1e-12
+    success = np.zeros(plan.horizon, dtype=bool)
+    cum = np.zeros(plan.horizon)
+    acc = 0.0
+    for leg in plan.legs:
+        if interval:
+            acc = 0.0
+        fired = False
+        for t in range(leg.start, leg.end):
+            acc += payload[t - 1]
+            cum[t - 1] = acc
+            if not fired and acc >= fire_at:
+                success[t - 1] = True
+                if interval:
+                    fired = True
+                else:
+                    acc = 0.0
     age = roll_age(success)
-    return AoiTrace(age=age, success=success, delivered=delivered,
-                    cum_payload=cum, peak_age=int(age.max()))
+    return AoiTrace(age=age, success=success, cum_payload=cum, peak_age=int(age.max()))
 
 
-def _payload_per_slot(plan: PolicyPlan, profile: ChannelProfile,
-                      fading: np.ndarray | None) -> np.ndarray:
-    """Slot-wise assigned sum rate; expected (surrogate) when fading is None."""
-    a = plan.full_assignment().astype(bool)
-    p = plan.full_power()
-    if fading is None:
-        rate = capacity_lower_bound(p, profile.gain, profile.shape, profile.noise_power)
-        return np.where(a, rate, 0.0).sum(axis=(0, 1))
-    return _realized_payload(a, p * profile.gain, fading, profile.noise_power)
+def _payload_per_slot(plan: PolicyPlan, profile: ChannelProfile) -> np.ndarray:
+    """Slot-wise assigned expected (surrogate) sum rate."""
+    rate = capacity_lower_bound(plan.full_power(), profile.gain, profile.shape,
+                                profile.noise_power)
+    return np.where(plan.full_assignment().astype(bool), rate, 0.0).sum(axis=(0, 1))
 
 
 def _realized_payload(assigned: np.ndarray, power_gain: np.ndarray, fading: np.ndarray,
@@ -299,7 +289,7 @@ class SimReport:
 
 def expected_trace(plan: PolicyPlan, profile: ChannelProfile) -> AoiTrace:
     """Deterministic trace under the planner's expected-payload success rule."""
-    return _success_trace(plan, _payload_per_slot(plan, profile, None))
+    return _success_trace(plan, _payload_per_slot(plan, profile))
 
 
 def simulate(plan: PolicyPlan, profile: ChannelProfile, replicas: int, seed: int,

@@ -200,6 +200,41 @@ def test_simulate_zero_replicas_rejected(desk_files):
     assert rc == 2
 
 
+def test_plan_and_simulate_reject_unusable_margins(desk_files, capsys):
+    _, _, scen, profp = desk_files
+    for margin in ("0.5", "-1", "nan", "inf"):
+        for cmd in (["plan", "--epsilon-theta", "2"],
+                    ["simulate", "--policy", "periodic", "--replicas", "1"]):
+            capsys.readouterr()
+            argv = cmd + ["--scenario", scen, "--profile", profp, "--margin", margin]
+            assert main(argv) == 2, argv
+            assert "--margin" in capsys.readouterr().err, argv
+
+
+def test_simulate_needs_exactly_one_of_plan_and_policy(desk_files, tmp_path, capsys):
+    _, _, scen, profp = desk_files
+    plan = str(tmp_path / "plan.json")
+    assert main(["plan", "--scenario", scen, "--profile", profp,
+                 "--epsilon-theta", "2", "--out", plan]) == 0
+    for choice in ([], ["--plan", plan, "--policy", "periodic"]):
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", scen, "--profile", profp,
+                     "--replicas", "1"] + choice) == 2, choice
+        err = capsys.readouterr().err
+        assert "--plan" in err and "--policy" in err, choice
+
+
+def test_simulate_and_oracle_reject_caps_below_one(desk_files, capsys):
+    _, _, scen, profp = desk_files
+    for cap in ("0", "-2"):
+        for cmd in (["simulate", "--policy", "periodic", "--replicas", "1"],
+                    ["oracle", "--op", "inner"], ["oracle", "--op", "plan"]):
+            capsys.readouterr()
+            argv = cmd + ["--scenario", scen, "--profile", profp, "--epsilon-theta", cap]
+            assert main(argv) == 2, argv
+            assert "--epsilon-theta" in capsys.readouterr().err, argv
+
+
 def test_simulate_trace_export(desk_files, tmp_path):
     _, _, scen, profp = desk_files
     trace = tmp_path / "trace.csv"
@@ -297,6 +332,17 @@ def test_transform_and_select_reject_malformed_inputs(tmp_path, capsys):
             assert path in err and words in err, err
 
 
+def test_transform_rejects_maps_that_fail_to_evaluate(tmp_path, capsys):
+    zero = _frontier_csv(tmp_path / "z.csv", ["1,0.8,0,1,1", "2,0,0,1,1"])
+    five = _frontier_csv(tmp_path / "f.csv", ["1,5.2,0,1,1", "2,4.9,0,1,1"])
+    # 0 ** -1 divides by zero; 5 ** 1000 overflows a float
+    for path, g2 in ((zero, "pow:-1"), (five, "pow:1000")):
+        capsys.readouterr()
+        assert main(["transform", "--frontier", path, "--g1", "identity", "--g2", g2,
+                     "--out", str(tmp_path / "t.csv")]) == 2, g2
+        assert "g2 cannot be evaluated" in capsys.readouterr().err, g2
+
+
 # ---------------------------------------------------------------- bench / oracle
 
 def test_bench_prints_slope(capsys):
@@ -316,6 +362,14 @@ def test_bench_rejects_k_lists_it_cannot_fit(capsys):
         assert "--k-list" in captured.err and "slope" not in captured.out, k_list
 
 
+def test_bench_rejects_zero_sizes(capsys):
+    for flag in ("--slots", "--cap", "--n"):
+        capsys.readouterr()
+        assert main(["bench", "--k-list", "4,8", "--repeats", "1", flag, "0"]) == 2, flag
+        captured = capsys.readouterr()
+        assert flag in captured.err and "slope" not in captured.out, flag
+
+
 def test_bench_slope_repeatable(capsys):
     # measurement-noise band derived from repeated timing runs
     slopes = []
@@ -333,6 +387,16 @@ def test_oracle_inner_subcommand(desk_files, capsys):
                "--start", "1", "--end", "3", "--epsilon-theta", "2"])
     assert rc == 0
     assert "oracle energy" in capsys.readouterr().out
+
+
+def test_oracle_inner_rejects_intervals_off_the_horizon(desk_files, capsys):
+    s, _, scen, profp = desk_files
+    for start, end in ((3, 2), (2, 2), (0, 2), (1, s.horizon_T + 2)):
+        capsys.readouterr()
+        assert main(["oracle", "--scenario", scen, "--profile", profp, "--op", "inner",
+                     "--start", str(start), "--end", str(end)]) == 2, (start, end)
+        err = capsys.readouterr().err
+        assert "--start" in err and "--end" in err, (start, end)
 
 
 def test_oracle_budget_gate(tmp_path):

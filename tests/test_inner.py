@@ -245,6 +245,15 @@ def test_interval_spec_validation():
         IntervalSpec(start=1, end=2, rb_cap=1, rate_target=-1.0, power_cap=1.0)
     with pytest.raises(ValueError):
         IntervalSpec(start=1, end=2, rb_cap=1, rate_target=1.0, power_cap=0.0)
+    # a NaN target would never settle the rate bisection
+    with pytest.raises(ValueError):
+        IntervalSpec(start=1, end=2, rb_cap=1, rate_target=math.nan, power_cap=1.0)
+    for power_cap in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            IntervalSpec(start=1, end=2, rb_cap=1, rate_target=1.0, power_cap=power_cap)
+    # an unreachable target stays a value, answered Infeasible
+    spec = IntervalSpec(start=1, end=3, rb_cap=2, rate_target=math.inf, power_cap=1.0)
+    assert isinstance(solve_interval(spec, synthetic_profile(0)), Infeasible)
 
 
 # ---------------------------------------------------------------- shared slot curves

@@ -98,6 +98,19 @@ def test_transform_rejects_non_monotone():
         transform_frontier(fr, lambda x: x, lambda e: (e - 6.0) ** 2)
 
 
+def test_maps_that_fail_to_evaluate_are_rejected():
+    # 0 ** -1 divides by zero; 5 ** 1000 overflows a float
+    with pytest.raises(MonotonicityError, match="g2"):
+        transform_frontier(synthetic_frontier([(1, 0.8), (2, 0.0)]),
+                           lambda x: x, lambda e: e ** -1.0)
+    with pytest.raises(MonotonicityError, match="g2"):
+        transform_frontier(synthetic_frontier([(1, 5.2), (2, 4.9)]),
+                           lambda x: x, lambda e: e ** 1000.0)
+    with pytest.raises(MonotonicityError, match="g1"):
+        budget_select(synthetic_frontier([(1, 10.0), (2, 4.0), (3, 3.5)]),
+                      lambda x: x ** 2000.0, 1e9)
+
+
 # ---------------------------------------------------------------- selection
 
 def test_scalarize_weight_extremes():

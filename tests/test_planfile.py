@@ -119,6 +119,13 @@ def test_rejects_missing_or_short_leg_fields(saved_plan, tmp_path, breakage):
         load_plan(bad)
 
 
+def test_rejects_unknown_success_mode(saved_plan, tmp_path):
+    *_, path = saved_plan
+    bad = _mutate(path, tmp_path, lambda d: d.update(success_mode="foo"))
+    with pytest.raises(PlanFormatError, match="success_mode 'foo'"):
+        load_plan(bad)
+
+
 def test_rate_validation_catches_power_cut(saved_plan, tmp_path):
     s, prof, _, path = saved_plan
 

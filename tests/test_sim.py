@@ -5,7 +5,7 @@ import aoiplan.sim
 from aoiplan import build_profile
 from aoiplan.channel import sample_fading
 from aoiplan.sim import (
-    _payload_per_slot,
+    _realized_payload,
     _success_trace,
     age_aware_plan,
     baseline_average,
@@ -101,7 +101,8 @@ def test_expected_trace_meets_bound(feasible_setup):
     trace = expected_trace(plan, prof)
     assert trace.peak_age <= s.aoi_bound_tau
     # one delivery per leg under the expected rule
-    assert all(d >= plan.delivery_threshold * (1 - 1e-9) for d in trace.delivered)
+    assert all(trace.cum_payload[leg.end - 2] >= plan.delivery_threshold * (1 - 1e-9)
+               for leg in plan.legs)
 
 
 def test_realized_load_within_cap(feasible_setup):
@@ -185,11 +186,13 @@ def test_simulate_traces_follow_the_documented_stream(feasible_setup):
         for rep, trace in enumerate(report.traces):
             rng = np.random.default_rng([9, rep])
             xi = rng.gamma(shape=prof.shape, scale=1.0 / prof.shape)
-            ref = _success_trace(plan, _payload_per_slot(plan, prof, xi))
+            ref = _success_trace(plan, _realized_payload(
+                plan.full_assignment().astype(bool), plan.full_power() * prof.gain, xi,
+                prof.noise_power))
             assert np.array_equal(trace.age, ref.age)
             assert np.array_equal(trace.success, ref.success)
             assert np.array_equal(trace.cum_payload, ref.cum_payload)
-            assert trace.delivered == ref.delivered and trace.peak_age == ref.peak_age
+            assert trace.peak_age == ref.peak_age
 
 
 def test_simulate_draws_fading_through_sample_fading(feasible_setup, monkeypatch):
@@ -207,7 +210,9 @@ def test_simulate_draws_fading_through_sample_fading(feasible_setup, monkeypatch
     assert [seed for seed, _ in drawn] == [[11, r] for r in range(4)]
     for r, (trace, (_, xi)) in enumerate(zip(report.traces, drawn)):
         assert np.array_equal(xi, sample_fading(prof, [11, r]))
-        ref = _success_trace(plan, _payload_per_slot(plan, prof, xi))
+        ref = _success_trace(plan, _realized_payload(
+            plan.full_assignment().astype(bool), plan.full_power() * prof.gain, xi,
+            prof.noise_power))
         assert np.array_equal(trace.cum_payload, ref.cum_payload)
 
 
