@@ -266,9 +266,14 @@ def sample_fading(profile: ChannelProfile, seed) -> np.ndarray:
     Draws from ``numpy.random.default_rng(seed)``, where ``seed`` is an int
     or a sequence of ints, so one seed always gives the same array.  Draws
     at small shapes can underflow to exactly 0, a deep fade.
+
+    The stream and bits are those of ``rng.gamma(shape, scale=1/shape)``:
+    numpy computes that draw as ``scale * standard_gamma(shape)`` entry by
+    entry, so scaling the standard draw afterwards gives the same array
+    with one argument check instead of two.
     """
     rng = np.random.default_rng(seed)
-    return rng.gamma(shape=profile.shape, scale=1.0 / profile.shape)
+    return rng.standard_gamma(profile.shape) * (1.0 / profile.shape)
 
 
 # ----------------------------------------------------------------------

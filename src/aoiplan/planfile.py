@@ -39,7 +39,7 @@ def save_plan(plan: PolicyPlan, path, scenario_digest: str, power_budget: float,
         "success_mode": plan.success_mode,
         "planned_energy": plan.planned_energy if plan.feasible else None,
         "spent_energy": plan.spent_energy,
-        "dims": list(plan.legs[0].assignment.shape[:2]),
+        "dims": list(plan.shape[:2]),
         "instants": list(plan.instants),
         "legs": [
             {
@@ -86,6 +86,8 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         raise PlanFormatError(f"plan header incomplete or malformed: {exc}") from exc
     if mode not in SUCCESS_MODES:
         raise PlanFormatError(f"unknown success_mode {mode!r}; expected one of {SUCCESS_MODES}")
+    if horizon < 1:
+        raise PlanFormatError(f"plan horizon must be >= 1, got {horizon}")
 
     plan = PolicyPlan(
         kind=kind, horizon=horizon, aoi_bound=aoi_bound, rb_cap=rb_cap,
@@ -144,7 +146,13 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
 
 
 def validate_plan_rates(plan: PolicyPlan, profile: ChannelProfile) -> None:
-    """Check each feasible leg's expected rate against its target."""
+    """Check that the plan has the profile's (N, K, T) and that each
+    feasible leg's expected rate meets its target."""
+    if plan.shape != profile.gain.shape:
+        raise PlanFormatError(
+            f"plan dimensions (N, K, T) = {plan.shape} differ from the scenario's "
+            f"{profile.gain.shape}"
+        )
     for leg in plan.legs:
         if not leg.feasible:
             continue

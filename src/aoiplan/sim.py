@@ -1,18 +1,28 @@
 """Monte Carlo evaluation of transmission plans and the baseline policies.
 
-For each replica the simulator draws a fading realization, accumulates the
-realized payload sum rate slot by slot, fires the delivery-success rule,
-and rolls the age recursion: the age resets when a delivery completes and
-grows by one otherwise.  A plan satisfies the freshness requirement when
-the peak age never exceeds the bound, which for an interval plan is
-equivalent to every interval fitting inside the bound and delivering on
-time.
+For each replica the simulator draws a fading realization, sums the
+realized payload rate of the assigned entries slot by slot, fires the
+delivery-success rule, and rolls the age recursion: the age resets when a
+delivery completes and grows by one otherwise.  A plan satisfies the
+freshness requirement when the peak age never exceeds the bound, which for
+an interval plan is equivalent to every interval fitting inside the bound
+and delivering on time.
 
-One delivery loop serves both accounting modes: an 'interval' plan resets
-its payload accumulator at every leg boundary and delivers at most once
-per leg, while a 'streaming' plan resets it only after each delivery.  The
-baselines fix their leg boundaries in advance and share one leg loop;
-:data:`POLICIES` names every policy builder.
+A call runs its replicas in batches of :data:`BATCH`.  Python loops over
+replicas only to draw each one's fading over the full (N, K, T) tensor
+(the documented stream, one draw held at a time); the payload is summed
+over the plan's support only, into a (replicas, T) matrix, and the
+delivery rule and the age recursion run over a whole batch at once.
+Every bit equals the per-replica full-tensor computation: the support
+lists entries in C order, so each slot adds its rates in the same
+(bs, rb) order, and the dropped entries would only add ``+0.0``.
+
+One delivery loop, over the slots with a vector of replicas as its state,
+serves both accounting modes and the expected trace (one replica): an
+'interval' plan resets its payload accumulator at every leg boundary and
+delivers at most once per leg, while a 'streaming' plan resets it only
+after each delivery.  The baselines fix their leg boundaries in advance
+and share one leg loop; :data:`POLICIES` names every policy builder.
 
 Two success notions are reported side by side: the planner's own
 expected-payload rule (deterministic, uses the capacity surrogate) and the
@@ -42,6 +52,9 @@ __all__ = [
 ]
 
 SUCCESS_MODES = ("interval", "streaming")
+# replicas per batch of the delivery loop; without kept traces a call holds
+# O(BATCH * T) memory whatever its replica count
+BATCH = 256
 
 
 @dataclass
@@ -92,17 +105,20 @@ class PolicyPlan:
     def instants(self) -> tuple:
         return tuple(leg.start for leg in self.legs)
 
+    @property
+    def shape(self) -> tuple:
+        """(N, K, T): base stations, resource blocks and horizon."""
+        return (*self.legs[0].assignment.shape[:2], self.horizon)
+
     def full_assignment(self) -> np.ndarray:
         """(N, K, T) assignment tensor over the whole horizon."""
-        n, k, _ = self.legs[0].assignment.shape
-        out = np.zeros((n, k, self.horizon), dtype=np.int8)
+        out = np.zeros(self.shape, dtype=np.int8)
         for leg in self.legs:
             out[:, :, leg.start - 1 : leg.end - 1] = leg.assignment
         return out
 
     def full_power(self) -> np.ndarray:
-        n, k, _ = self.legs[0].power.shape
-        out = np.zeros((n, k, self.horizon))
+        out = np.zeros(self.shape)
         for leg in self.legs:
             out[:, :, leg.start - 1 : leg.end - 1] = leg.power
         return out
@@ -217,47 +233,54 @@ class AoiTrace:
 
 
 def roll_age(success: np.ndarray) -> np.ndarray:
-    """Age recursion: reset on success, otherwise grow by one slot.
+    """Age recursion along the last axis: reset on success, otherwise grow
+    by one slot.
 
     age[t+1] = 0 if the delivery completed during slot t+1 (1-based),
-    else age[t] + 1; the horizon starts fresh (age[0] = 0).
+    else age[t] + 1; the horizon starts fresh (age[0] = 0).  So age[t] is
+    t minus the last slot <= t that delivered (0 if none).
     """
-    T = len(success)
-    age = np.zeros(T + 1, dtype=np.int64)
-    for t in range(T):
-        age[t + 1] = 0 if success[t] else age[t] + 1
+    success = np.asarray(success, dtype=bool)
+    slots = np.arange(success.shape[-1] + 1)
+    last = np.where(success, slots[1:], 0)
+    np.maximum.accumulate(last, axis=-1, out=last)
+    age = np.zeros(success.shape[:-1] + slots.shape, dtype=np.int64)
+    np.subtract(slots[1:], last, out=age[..., 1:])
     return age
 
 
-def _success_trace(plan: PolicyPlan, payload: np.ndarray) -> AoiTrace:
-    """Apply the delivery rule to a per-slot payload vector.
+def _success_traces(plan: PolicyPlan, payload: np.ndarray) -> tuple:
+    """Apply the delivery rule and the age recursion to each row of an
+    (R, T) payload matrix.
 
     'interval' mode resets the accumulator at leg boundaries (a new sample
     aborts any unfinished delivery) and fires at most once per leg;
-    'streaming' mode resets it only after a success.
+    'streaming' mode resets it only after a success.  The loop runs over
+    the slots; its state is one accumulator per replica.  Returns the
+    (R, T+1) ages and the (R, T) success and running-payload matrices.
     """
     if plan.success_mode not in SUCCESS_MODES:
         raise ValueError(f"unknown success mode {plan.success_mode!r}")
     interval = plan.success_mode == "interval"
     fire_at = plan.delivery_threshold - 1e-12
-    success = np.zeros(plan.horizon, dtype=bool)
-    cum = np.zeros(plan.horizon)
-    acc = 0.0
+    success = np.zeros(payload.shape, dtype=bool)
+    cum = np.zeros(payload.shape)
+    acc = np.zeros(payload.shape[0])
     for leg in plan.legs:
         if interval:
-            acc = 0.0
-        fired = False
-        for t in range(leg.start, leg.end):
-            acc += payload[t - 1]
-            cum[t - 1] = acc
-            if not fired and acc >= fire_at:
-                success[t - 1] = True
-                if interval:
-                    fired = True
-                else:
-                    acc = 0.0
-    age = roll_age(success)
-    return AoiTrace(age=age, success=success, cum_payload=cum, peak_age=int(age.max()))
+            acc = np.zeros_like(acc)
+            fired = np.zeros(acc.shape, dtype=bool)
+        for t in range(leg.start - 1, leg.end - 1):
+            acc += payload[:, t]
+            cum[:, t] = acc
+            fire = acc >= fire_at
+            if interval:
+                fire &= ~fired
+                fired |= fire
+            else:
+                acc[fire] = 0.0
+            success[:, t] = fire
+    return roll_age(success), success, cum
 
 
 def _payload_per_slot(plan: PolicyPlan, profile: ChannelProfile) -> np.ndarray:
@@ -265,13 +288,6 @@ def _payload_per_slot(plan: PolicyPlan, profile: ChannelProfile) -> np.ndarray:
     rate = capacity_lower_bound(plan.full_power(), profile.gain, profile.shape,
                                 profile.noise_power)
     return np.where(plan.full_assignment().astype(bool), rate, 0.0).sum(axis=(0, 1))
-
-
-def _realized_payload(assigned: np.ndarray, power_gain: np.ndarray, fading: np.ndarray,
-                      noise_power: float) -> np.ndarray:
-    """Slot-wise assigned sum rate under one fading draw."""
-    rate = np.log2(1.0 + power_gain * fading / noise_power)
-    return np.where(assigned, rate, 0.0).sum(axis=(0, 1))
 
 
 @dataclass
@@ -288,40 +304,56 @@ class SimReport:
 
 
 def expected_trace(plan: PolicyPlan, profile: ChannelProfile) -> AoiTrace:
-    """Deterministic trace under the planner's expected-payload success rule."""
-    return _success_trace(plan, _payload_per_slot(plan, profile))
+    """Deterministic trace under the planner's expected-payload success rule.
+
+    The plan must have the profile's (N, K, T).
+    """
+    if plan.shape != profile.gain.shape:
+        raise ValueError(f"plan dimensions (N, K, T) = {plan.shape} differ from the "
+                         f"profile's {profile.gain.shape}")
+    age, success, cum = _success_traces(plan, _payload_per_slot(plan, profile)[None, :])
+    return AoiTrace(age=age[0], success=success[0], cum_payload=cum[0],
+                    peak_age=int(age[0].max()))
 
 
 def simulate(plan: PolicyPlan, profile: ChannelProfile, replicas: int, seed: int,
              keep_traces: bool = False) -> SimReport:
     """Monte Carlo the realized delivery process of a plan.
 
-    Replica r draws its fading with ``sample_fading(profile, [seed, r])``,
-    so replicas are reproducible and independent of execution order.  The
-    plan's assignment mask and power times gain are computed once per
-    call.
+    Replica r draws its fading with ``sample_fading(profile, [seed, r])``
+    over the full (N, K, T) tensor, so replicas are reproducible and do
+    not depend on how many run in one call.  The replicas run in batches
+    of up to :data:`BATCH`: each draw is reduced at once to its row of the
+    batch's (batch, T) payload matrix, summed over the plan's assigned
+    entries, and one delivery loop and one age recursion then cover every
+    row.  The plan must have the profile's (N, K, T).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-
     exp_trace = expected_trace(plan, profile)
-    assigned = plan.full_assignment().astype(bool)
-    power_gain = plan.full_power() * profile.gain
-    ok = 0
-    peaks = []
+
+    # the support in C order: flat index (n * K + k) * T + t
+    T = plan.horizon
+    support = np.flatnonzero(plan.full_assignment())
+    slot = support % T
+    power_gain = (plan.full_power() * profile.gain).take(support)
+    peaks = np.empty(replicas, dtype=np.int64)
     traces = []
-    for rep in range(replicas):
-        xi = sample_fading(profile, [seed, rep])
-        payload = _realized_payload(assigned, power_gain, xi, profile.noise_power)
-        trace = _success_trace(plan, payload)
-        peaks.append(trace.peak_age)
-        if trace.peak_age <= plan.aoi_bound:
-            ok += 1
+    for first in range(0, replicas, BATCH):
+        batch = range(first, min(first + BATCH, replicas))
+        payload = np.empty((len(batch), T))
+        for row, rep in enumerate(batch):
+            xi = sample_fading(profile, [seed, rep])
+            rate = np.log2(1.0 + power_gain * xi.take(support) / profile.noise_power)
+            payload[row] = np.bincount(slot, weights=rate, minlength=T)
+        age, success, cum = _success_traces(plan, payload)
+        peaks[batch.start:batch.stop] = age.max(axis=1)
         if keep_traces:
-            traces.append(trace)
+            traces += [AoiTrace(age=a, success=s, cum_payload=c, peak_age=int(a.max()))
+                       for a, s, c in zip(age, success, cum)]
     return SimReport(
         replicas=replicas,
-        success_rate=ok / replicas,
+        success_rate=int((peaks <= plan.aoi_bound).sum()) / replicas,
         mean_energy=plan.spent_energy,
         worst_rb_load=plan.worst_rb_load(),
         mean_peak_age=float(np.mean(peaks)),

@@ -113,6 +113,20 @@ def test_simulate_malformed_plan_file_is_validation_error(tmp_path, desk_files, 
     assert "plan leg 1" in capsys.readouterr().err
 
 
+def test_simulate_plan_of_other_dimensions_is_plan_format_error(tmp_path, desk_files, capsys):
+    _, _, scen, profp = desk_files
+    plan = tmp_path / "plan.json"
+    assert main(["plan", "--scenario", scen, "--profile", profp,
+                 "--epsilon-theta", "2", "--out", str(plan)]) == 0
+    other = tmp_path / "other.json"
+    save_scenario(desk_scenario(3, N=3, K=2), other)
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(other), "--plan", str(plan),
+                 "--replicas", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "(2, 3, 8)" in err and "(3, 2, 8)" in err
+
+
 def test_plan_file_roundtrip_validates(tmp_path, desk_files):
     from aoiplan.planfile import load_plan, validate_plan_rates
 

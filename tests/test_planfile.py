@@ -119,6 +119,13 @@ def test_rejects_missing_or_short_leg_fields(saved_plan, tmp_path, breakage):
         load_plan(bad)
 
 
+def test_rejects_an_empty_horizon(saved_plan, tmp_path):
+    *_, path = saved_plan
+    bad = _mutate(path, tmp_path, lambda d: d.update(horizon=0, legs=[], instants=[]))
+    with pytest.raises(PlanFormatError, match="horizon must be >= 1"):
+        load_plan(bad)
+
+
 def test_rejects_unknown_success_mode(saved_plan, tmp_path):
     *_, path = saved_plan
     bad = _mutate(path, tmp_path, lambda d: d.update(success_mode="foo"))
@@ -138,3 +145,11 @@ def test_rate_validation_catches_power_cut(saved_plan, tmp_path):
     plan, _ = load_plan(bad)
     with pytest.raises(PlanFormatError):
         validate_plan_rates(plan, prof)
+
+
+def test_rate_validation_rejects_a_profile_of_another_horizon(saved_plan):
+    s, _, _, path = saved_plan
+    plan, _ = load_plan(path)
+    longer = desk_scenario(3, T=s.horizon_T + 2)
+    with pytest.raises(PlanFormatError, match=r"\(2, 3, 8\) differ .* \(2, 3, 10\)"):
+        validate_plan_rates(plan, build_profile(longer, 3))

@@ -5,8 +5,8 @@ import aoiplan.sim
 from aoiplan import build_profile
 from aoiplan.channel import sample_fading
 from aoiplan.sim import (
-    _realized_payload,
-    _success_trace,
+    _payload_per_slot,
+    _success_traces,
     age_aware_plan,
     baseline_average,
     baseline_instantaneous,
@@ -23,6 +23,47 @@ from conftest import desk_scenario
 def feasible_setup():
     s = desk_scenario(3, vbar=3.0, pbar_dbm=23.0)
     return s, build_profile(s, 3)
+
+
+def _reference_payload(plan, prof, xi):
+    """Per-slot realized payload as documented: the assigned entries' rates
+    summed over the full (N, K, T) tensor."""
+    rate = np.log2(1.0 + plan.full_power() * prof.gain * xi / prof.noise_power)
+    return np.where(plan.full_assignment().astype(bool), rate, 0.0).sum(axis=(0, 1))
+
+
+def _reference_trace(plan, payload):
+    """Scalar delivery rule and age recursion for one replica: the payload
+    accumulates per leg ('interval', at most one delivery per leg) or until
+    each delivery ('streaming'); the age resets on delivery."""
+    T = plan.horizon
+    fire_at = plan.delivery_threshold - 1e-12
+    success, cum, acc = [False] * T, [0.0] * T, 0.0
+    for leg in plan.legs:
+        if plan.success_mode == "interval":
+            acc = 0.0
+        fired = False
+        for t in range(leg.start - 1, leg.end - 1):
+            acc += float(payload[t])
+            cum[t] = acc
+            if not fired and acc >= fire_at:
+                success[t] = True
+                if plan.success_mode == "interval":
+                    fired = True
+                else:
+                    acc = 0.0
+    age = [0]
+    for hit in success:
+        age.append(0 if hit else age[-1] + 1)
+    return age, success, cum
+
+
+def _assert_trace_is(trace, ref):
+    age, success, cum = ref
+    assert trace.age.tolist() == age
+    assert trace.success.tolist() == success
+    assert trace.cum_payload.tolist() == cum
+    assert trace.peak_age == max(age)
 
 
 def test_roll_age_hand_trace():
@@ -186,13 +227,7 @@ def test_simulate_traces_follow_the_documented_stream(feasible_setup):
         for rep, trace in enumerate(report.traces):
             rng = np.random.default_rng([9, rep])
             xi = rng.gamma(shape=prof.shape, scale=1.0 / prof.shape)
-            ref = _success_trace(plan, _realized_payload(
-                plan.full_assignment().astype(bool), plan.full_power() * prof.gain, xi,
-                prof.noise_power))
-            assert np.array_equal(trace.age, ref.age)
-            assert np.array_equal(trace.success, ref.success)
-            assert np.array_equal(trace.cum_payload, ref.cum_payload)
-            assert trace.peak_age == ref.peak_age
+            _assert_trace_is(trace, _reference_trace(plan, _reference_payload(plan, prof, xi)))
 
 
 def test_simulate_draws_fading_through_sample_fading(feasible_setup, monkeypatch):
@@ -210,10 +245,8 @@ def test_simulate_draws_fading_through_sample_fading(feasible_setup, monkeypatch
     assert [seed for seed, _ in drawn] == [[11, r] for r in range(4)]
     for r, (trace, (_, xi)) in enumerate(zip(report.traces, drawn)):
         assert np.array_equal(xi, sample_fading(prof, [11, r]))
-        ref = _success_trace(plan, _realized_payload(
-            plan.full_assignment().astype(bool), plan.full_power() * prof.gain, xi,
-            prof.noise_power))
-        assert np.array_equal(trace.cum_payload, ref.cum_payload)
+        _, _, cum = _reference_trace(plan, _reference_payload(plan, prof, xi))
+        assert trace.cum_payload.tolist() == cum
 
 
 def test_infeasible_baseline_legs_have_full_shapes(feasible_setup):
@@ -227,3 +260,65 @@ def test_infeasible_baseline_legs_have_full_shapes(feasible_setup):
         assert leg.power.shape == shape and leg.power.dtype == float
         assert not leg.assignment.any() and not leg.power.any()
     assert plan.full_assignment().shape == (N, K, s.horizon_T)
+
+
+def test_replica_traces_do_not_depend_on_the_batch(feasible_setup):
+    s, prof = feasible_setup
+    periodic = baseline_periodic(s, prof, rb_cap=2)
+    average = baseline_average(s, prof, rb_cap=2)
+    assert periodic.success_mode == "interval" and average.success_mode == "streaming"
+    assert len(average.legs) == 1
+    assert aoiplan.sim.BATCH < 513   # the full run spans two delivery-loop batches
+    for plan in (periodic, average):
+        full = simulate(plan, prof, replicas=513, seed=4, keep_traces=True)
+        for replicas in (1, 7):
+            part = simulate(plan, prof, replicas=replicas, seed=4, keep_traces=True)
+            for trace, ref in zip(part.traces, full.traces):
+                _assert_trace_is(trace, (ref.age.tolist(), ref.success.tolist(),
+                                         ref.cum_payload.tolist()))
+    # the streaming plan's single leg delivers more than once in some replicas
+    assert any(trace.success.sum() >= 2 for trace in full.traces)
+    for rep in (0, 6, 512):
+        xi = sample_fading(prof, [4, rep])
+        _assert_trace_is(full.traces[rep],
+                         _reference_trace(average, _reference_payload(average, prof, xi)))
+
+
+def test_expected_trace_is_one_row_of_the_delivery_loop(feasible_setup):
+    s, prof = feasible_setup
+    rng = np.random.default_rng(0)
+    for builder in (age_aware_plan, baseline_instantaneous, baseline_average):
+        plan = builder(s, prof, rb_cap=2)
+        expected = _payload_per_slot(plan, prof)
+        trace = expected_trace(plan, prof)
+        _assert_trace_is(trace, _reference_trace(plan, expected))
+        # the same payload as the middle row of a batch gives the same row
+        batch = rng.uniform(0.0, 2.0 * s.payload_threshold_vbar, size=(3, s.horizon_T))
+        batch[1] = expected
+        age, success, cum = _success_traces(plan, batch)
+        assert np.array_equal(success[1], trace.success)
+        assert np.array_equal(cum[1], trace.cum_payload)
+        assert np.array_equal(age[1], trace.age)
+
+
+def test_roll_age_runs_along_the_last_axis():
+    rng = np.random.default_rng(1)
+    success = rng.random((5, 9)) < 0.3
+    rows = roll_age(success)
+    assert rows.shape == (5, 10)
+    for row, hits in zip(rows, success):
+        age = [0]
+        for hit in hits:
+            age.append(0 if hit else age[-1] + 1)
+        assert row.tolist() == age
+
+
+def test_simulate_rejects_a_profile_of_other_dimensions(feasible_setup):
+    s, prof = feasible_setup
+    plan = baseline_periodic(s, prof, rb_cap=2)
+    longer = desk_scenario(3, T=s.horizon_T + 1, vbar=3.0, pbar_dbm=23.0)
+    other = build_profile(longer, 3)
+    with pytest.raises(ValueError, match="differ"):
+        simulate(plan, other, replicas=2, seed=1)
+    with pytest.raises(ValueError, match="differ"):
+        expected_trace(plan, other)
