@@ -195,7 +195,13 @@ def cmd_simulate(args) -> int:
     _check_margin(args.margin)
     scenario, profile, seed = _load_inputs(args)
     if args.plan is not None:
-        policy, _header = planfile.load_plan(args.plan)
+        policy, header = planfile.load_plan(args.plan)
+        digest = scenario_digest(scenario)
+        if header.get("scenario_hash") != digest:
+            # replaying a plan on another scenario is allowed; the warning
+            # comes first so that it also explains a failed rate check
+            print(f"warning: plan was made for scenario {header.get('scenario_hash')}, "
+                  f"simulated on scenario {digest}", file=sys.stderr)
         planfile.validate_plan_rates(policy, profile)
     else:
         cap = _load_cap(args, scenario.num_rb_K)

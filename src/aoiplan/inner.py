@@ -52,17 +52,68 @@ any other gap splits into two unchecked ones.  Inside the cap bisection
 the bracket ends are always adjacent recorded levels, so the bracket is
 certified once both ends hold the same selection.
 
-The curve also bounds the kernel rate between its recorded levels.  The
+The curve also bounds the kernel rate at levels it was not asked.  The
 global-level bisection decides ``sum_t rate_t(mu) >= target`` from those
 bounds where it can.  Sequential float addition is monotone in every
 term, so when the summed lower bounds reach the target, or the summed
 upper bounds miss it, the exact sum decides the same way; otherwise the
 slot with the widest bound is asked and the sums retried.  Every
 decision, and hence every output bit, equals that of solving every slot
-at every probe.
+at every probe.  :meth:`SlotCurve.bounds` has three cases: an exact hit
+gives the recorded rate; a level inside a certified piece gives the
+closed-form bracket below, which is tight to rounding; any other level
+gives the secant bounds further below.
 
-The bounds rest on monotonicity: the optimal rate is non-decreasing in
-the level, being -1/ln2 times the derivative of the concave optimal
+Closed-form brackets.  For a fixed selection the float rate at a level
+lam is ``s = sum_S fl(log2(fl(lam / iota_i)))`` over the m selected
+entries with ``iota_i < lam``, added by numpy in some order (pairwise,
+with exact zeros for the selected entries below their floor).  Its real
+counterpart is the closed form ``R = m*log2(lam) - sum_S log2(iota_i)``.
+:class:`_SupportLogs` keeps the selection's floors sorted with prefix
+sums of ``log2(iota)`` and of ``|log2(iota)|``, evaluates
+``c = fl(fl(m * g) - P_m)`` with ``g = math.log2(lam)`` and the prefix
+sum ``P_m``, and returns ``c -/+ band``.  With the unit roundoff
+``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)``, ``B = m*|log2(lam)| +
+sum_S |log2(iota_i)|`` (so ``R <= B``), and every log2, numpy's on both
+of its dispatch paths (AVX-512 and not) and libm's, assumed within
+``LOG2_ULPS`` = 4 ulps, that is a relative error of at most
+``2 * LOG2_ULPS * u`` (numpy 2.4 on an AVX-512 x86-64 machine stayed
+under one ulp on both paths; ``tests/test_inner.py`` checks the
+assumption wherever it runs):
+
+  * the division rounds ``lam / iota_i`` by a factor ``1 + d``,
+    ``|d| <= u``, which moves its log2 by at most ``1.5u``; the log2
+    then errs by ``2 * LOG2_ULPS * u`` relative, so each term is within
+    ``1.5u + 2 * LOG2_ULPS * u * (a_i + 1.5u)`` of its real value
+    ``a_i = log2(lam / iota_i) > 0``;
+  * summing m nonzero terms in any order (an addition of an exact zero
+    is exact) errs by at most ``gamma_{m-1} * sum|terms|``, and
+    ``sum|terms| <= (1 + 2 * LOG2_ULPS * u) * (R + 1.5mu)``;
+  * the closed form errs by ``(2 * LOG2_ULPS + 1) * u * m*|log2(lam)|``
+    in ``fl(m * g)``, by ``(2 * LOG2_ULPS * u + gamma_{m-1}) *
+    sum|log2(iota_i)|`` in the sequential prefix sum, and by
+    ``u * |c|`` in the subtraction;
+  * adding the bracket's ends rounds by ``u * (|c| + band)``.
+
+To first order in u these total ``((4 * LOG2_ULPS + 3) * u +
+2 * gamma_{m-1}) * B + 1.5mu``, so the band
+``u * ((3m + 4 * LOG2_ULPS + 8) * B + 2m)`` covers them with room for the
+band's own rounding for any m below 2**40.  The summation term grows
+with m, so no constant relative band would do for large selections.  The
+same bracket decides the binary re-solve on frozen supports
+(:class:`_FrozenSupports`), whose per-slot float rate is the same sum
+over the floors below each slot's capped level: each bisection step adds
+the slots' brackets and computes the float rate only when they straddle
+the target.  A certified piece keeps its selection, so its bracket
+vouches for the rate a query there would price; its floors, sorted, and
+their prefix sums are kept once per stored selection object.
+
+Secant bounds.  Outside certified pieces the curve still bounds the rate
+from its nearest recorded levels.  These bounds stay because they still
+pay: without them a cap-4 ``table1`` timing graph runs 4,131 matchings
+instead of 2,670, since every unsettled comparison records a new level.
+They rest on monotonicity: the optimal rate is non-decreasing in the
+level, being -1/ln2 times the derivative of the concave optimal
 matching cost (the cost of a fixed matching M falls at rate
 ln2 * R_M(level), and R_M grows with the level).  The kernel, though, is
 only near-optimal: its successive-shortest-path stop tolerance and
@@ -110,6 +161,8 @@ PIECE_FLOOR_GUARD = 1e-6   # relative band below a piece that must hold no floor
 PIECE_ROUNDING = 2.0 ** -40  # piece margin for rounding, per RB, relative to level and max|w|
 LIMIT_REL_EPS = 1e-7    # one-sided limit offset, relative to the level
 LIMIT_ABS_FLOOR = 1e-12  # one-sided limit offset near level 0
+UNIT_ROUNDOFF = 2.0 ** -53
+LOG2_ULPS = 4  # assumed worst error of numpy's and libm's log2, in ulps
 
 __all__ = [
     "IntervalSpec",
@@ -257,6 +310,31 @@ def _bisect(lo: float, hi: float, reaches, rel: float = BRACKET_REL_TOL,
     return hi
 
 
+class _SupportLogs:
+    """Floors of a fixed selection, sorted, with prefix sums of their log2
+    and of its magnitude, bracketing the selection's float rate at any
+    level by the closed form of the module docstring."""
+
+    def __init__(self, iotas: np.ndarray):
+        self.floors = np.sort(iotas)
+        logs = np.log2(self.floors)
+        self._keys = self.floors.tolist()
+        self.log_sums = [0.0] + np.cumsum(logs).tolist()
+        self.abs_sums = [0.0] + np.cumsum(np.abs(logs)).tolist()
+
+    def rate_bounds(self, level: float) -> tuple:
+        """(lower, upper) bounds on the float sum of ``log2(level / iota)``
+        over the floors below ``level``, summed in any order."""
+        m = bisect_left(self._keys, level)
+        if not m:
+            return 0.0, 0.0
+        g = math.log2(level)
+        closed = m * g - self.log_sums[m]
+        band = UNIT_ROUNDOFF * ((3 * m + 4 * LOG2_ULPS + 8)
+                                * (m * abs(g) + self.abs_sums[m]) + 2 * m)
+        return closed - band, closed + band
+
+
 @dataclass
 class _SlotLimits:
     a_minus: np.ndarray
@@ -269,9 +347,10 @@ class _SlotLimits:
 
 class SlotCurve:
     """The kernel's selection, power and rate at every level asked so far
-    for one slot and load cap, and bounds on the rate in between with the
-    slack of the module docstring.  :func:`solve_slot_cap` returns one
-    with ``power_cap`` and ``slot_cap`` set."""
+    for one slot and load cap, and bounds on the rate in between: the
+    closed-form bracket inside certified pieces, the secant bounds with
+    the slack of the module docstring elsewhere.  :func:`solve_slot_cap`
+    returns one with ``power_cap`` and ``slot_cap`` set."""
 
     def __init__(self, iota2d: np.ndarray, cap: int):
         self.iota2d = iota2d
@@ -282,6 +361,7 @@ class SlotCurve:
         self._selects = []  # kernel selection at each recorded level
         self._pieces = []   # gap below each recorded level: True certified piece,
         #                     False not a piece, None unchecked
+        self._logs = {}     # id of a stored selection -> _SupportLogs of its floors
         self._iota_min = float(iota2d.min())
         self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
 
@@ -349,13 +429,22 @@ class SlotCurve:
         return self._slack_scale * (1.0 + level + w_max)
 
     def bounds(self, level: float) -> tuple:
-        """(lower, upper) bounds on the kernel rate at ``level`` from the
-        nearest recorded level on each side; -inf or inf where there is none.
+        """(lower, upper) bounds on the kernel rate at ``level``: the
+        recorded rate at an exact hit, the closed-form bracket of the
+        piece's selection inside a certified piece, and otherwise the
+        nearest recorded level on each side widened by the slack; -inf or
+        inf where there is none.
         """
         levels, rates = self._levels, self._rates
         j = bisect_left(levels, level)
         if j < len(levels) and levels[j] == level:
             return rates[j], rates[j]
+        select = self._piece(j)
+        if select is not None:
+            logs = self._logs.get(id(select))
+            if logs is None:
+                logs = self._logs[id(select)] = _SupportLogs(self.iota2d[select.astype(bool)])
+            return logs.rate_bounds(level)
         own = self._slack(level)
         lo, hi = -math.inf, math.inf
         if j:
@@ -443,50 +532,77 @@ def _support_cap_level(iotas: np.ndarray, power_cap: float) -> float:
     return float((power_cap + prefix[-1]) / len(s))
 
 
-def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
-    """Min-energy capped water-filling with frozen per-slot supports.
+class _FrozenSupports:
+    """Capped water-filling over frozen per-slot supports: each slot's
+    :class:`_SupportLogs`, its sorted floors and its cap level."""
 
-    Returns (slot_levels, energy, rate) or None when the supports cannot
-    carry the target under the per-slot power caps.
-    """
-    L = iota3d.shape[2]
-    slot_iotas = []
-    cap_levels = np.zeros(L)
-    for t in range(L):
-        vals = iota3d[:, :, t][supports[t]]
-        slot_iotas.append(np.sort(vals))
-        cap_levels[t] = _support_cap_level(vals, power_cap) if vals.size else 0.0
+    def __init__(self, supports, iota3d: np.ndarray, power_cap: float):
+        self.logs = [_SupportLogs(iota3d[:, :, t][sup]) for t, sup in enumerate(supports)]
+        self.floors = [logs.floors for logs in self.logs]
+        self.cap_levels = np.array([_support_cap_level(v, power_cap) if v.size else 0.0
+                                    for v in self.floors])
+        self._caps = self.cap_levels.tolist()
 
-    def rate_at(mu):
+    def rate(self, mu: float) -> float:
+        """Float rate at global level ``mu``: each slot's ``log2(level /
+        iota)`` over its floors below its capped level, summed by numpy,
+        then added slot after slot."""
         total = 0.0
-        for t in range(L):
-            vals = slot_iotas[t]
-            if not vals.size:
-                continue
-            lvl = min(mu, cap_levels[t])
+        for vals, cap_level in zip(self.floors, self.cap_levels):
+            lvl = min(mu, cap_level)
             act = vals[vals < lvl]
             if act.size:
                 total += float(np.log2(lvl / act).sum())
         return total
 
+    def reaches(self, mu: float, target: float) -> bool:
+        """Whether ``rate(mu) >= target``, computing the rate only when
+        the slots' summed closed-form brackets straddle the target.
+
+        Sequential float addition is monotone in every term, so the
+        summed brackets bracket the summed float rates.
+        """
+        lo = hi = 0.0
+        for logs, cap_level in zip(self.logs, self._caps):
+            low, high = logs.rate_bounds(min(mu, cap_level))
+            lo += low
+            hi += high
+        if lo >= target:
+            return True
+        if hi < target:
+            return False
+        return self.rate(mu) >= target
+
+
+def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
+    """Min-energy capped water-filling with frozen per-slot supports.
+
+    Returns (slot_levels, energy, rate) or None when the supports cannot
+    carry the target under the per-slot power caps.  The bisection
+    decides each step with :meth:`_FrozenSupports.reaches`; the returned
+    rate is always computed.
+    """
+    L = iota3d.shape[2]
+    frozen = _FrozenSupports(supports, iota3d, power_cap)
+    cap_levels = frozen.cap_levels
     if rate_target <= 0.0:
         return np.zeros(L), 0.0, 0.0
     hi = float(cap_levels.max(initial=0.0))
     if hi <= 0.0:
         return None
-    max_rate = rate_at(hi)
+    max_rate = frozen.rate(hi)
     if max_rate < rate_target * (1.0 - 1e-9):
         return None
-    lo = float(min(v[0] for v in slot_iotas if v.size))
+    lo = float(min(v[0] for v in frozen.floors if v.size))
     # upper bracket end guarantees rate >= target
-    mu = _bisect(lo, hi, lambda mid: rate_at(mid) >= rate_target)
+    mu = _bisect(lo, hi, lambda mid: frozen.reaches(mid, rate_target))
     levels = np.minimum(mu, cap_levels)
     energy = 0.0
     for t in range(L):
-        vals = slot_iotas[t]
+        vals = frozen.floors[t]
         if vals.size:
             energy += float(np.maximum(0.0, levels[t] - vals).sum())
-    return levels, energy, rate_at(mu)
+    return levels, energy, frozen.rate(mu)
 
 
 def _zero_solution(N, K, L):

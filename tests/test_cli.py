@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from aoiplan import build_profile, pareto
 from aoiplan.channel import save_profile
 from aoiplan.cli import _build_parser, main
-from aoiplan.scenario import save_scenario
+from aoiplan.scenario import load_scenario, save_scenario, scenario_digest
 from aoiplan.timing import build_graph, shortest_path
 
 from conftest import desk_scenario
@@ -125,6 +126,44 @@ def test_simulate_plan_of_other_dimensions_is_plan_format_error(tmp_path, desk_f
                  "--replicas", "2"]) == 2
     err = capsys.readouterr().err
     assert "(2, 3, 8)" in err and "(3, 2, 8)" in err
+
+
+def test_simulate_plan_of_another_scenario_warns_and_reports(tmp_path, desk_files, capsys):
+    """A plan whose scenario digest differs from the scenario's warns once
+    on stderr, naming both digests; the report and exit code are those of
+    the same plan carrying the matching digest.  On channels where the
+    plan misses its rates, the warning precedes the error (exit 2)."""
+    s, _, scen, profp = desk_files
+    plan = tmp_path / "plan.json"
+    assert main(["plan", "--scenario", scen, "--profile", profp,
+                 "--epsilon-theta", "2", "--out", str(plan)]) == 0
+    doc = json.loads(plan.read_text())
+    ours = doc["scenario_hash"]
+    other = tmp_path / "other.json"
+    save_scenario(dataclasses.replace(s, payload_threshold_vbar=3.0), other)
+    theirs = scenario_digest(load_scenario(other))
+    assert ours != theirs
+    matched = tmp_path / "matched.json"
+    matched.write_text(json.dumps({**doc, "scenario_hash": theirs}, indent=1) + "\n")
+    runs = []
+    for path in (plan, matched):
+        capsys.readouterr()
+        code = main(["simulate", "--scenario", str(other), "--profile", profp,
+                     "--plan", str(path), "--replicas", "20", "--seed", "3"])
+        runs.append((code, *capsys.readouterr()))
+    (code, out, err), (code_m, out_m, err_m) = runs
+    assert (code, out) == (code_m, out_m) and code == 0 and out
+    assert err_m == ""
+    assert err.count("\n") == 1 and err.startswith("warning:")
+    assert ours in err and theirs in err
+
+    far = tmp_path / "far.json"  # same dimensions, other channels
+    save_scenario(desk_scenario(4), far)
+    assert main(["simulate", "--scenario", str(far), "--plan", str(plan),
+                 "--replicas", "2"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("warning:") and ours in lines[0]
+    assert lines[1].startswith("error:") and len(lines) == 2
 
 
 def test_plan_file_roundtrip_validates(tmp_path, desk_files):

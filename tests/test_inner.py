@@ -473,3 +473,166 @@ def test_solve_interval_rejects_mismatched_curves():
     with pytest.raises(ValueError):
         solve_interval(spec, prof, slot_curves(prof.iota[:, :, :2], 2, 5.0))
     assert solve_interval(spec, prof, curves[:2]).energy == solve_interval(spec, prof).energy
+
+
+# ---------------------------------------------------------------- closed-form rate brackets
+
+def _spread_floors(rng, size):
+    """Floors spread up to 1e-9..1e9 around 1; some slots nearly flat."""
+    spread = float(rng.choice([1e-3, 1.0, 3.0, 9.0]))
+    return 10.0 ** rng.uniform(-spread, spread, size=size)
+
+
+def _levels_around(floors, rng):
+    """Levels at every floor, a few ulps either side of it, inside every
+    gap between adjacent floors, and past the largest."""
+    floors = sorted(set(floors))
+    out = [f for f in floors] + [_ulps(f, k) for f in floors for k in (-3, -1, 1, 3)]
+    out += [float(rng.uniform(a, b)) for a, b in zip(floors, floors[1:])]
+    out += [floors[-1] * 10.0 ** rng.uniform(0.0, 3.0), floors[0] * 0.5]
+    return out
+
+
+def test_log2_stays_within_the_assumed_ulps():
+    """numpy's log2, on arrays and on single entries, and math.log2 are
+    within ``LOG2_ULPS`` ulps of the true value on floors and level
+    ratios from 1e-12 to 1e12 and within 1e-15 of 1."""
+    from decimal import Decimal, localcontext
+
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([10.0 ** rng.uniform(-12, 12, 1500),
+                         1.0 + 10.0 ** rng.uniform(-15, -1, 400),
+                         1.0 - 10.0 ** rng.uniform(-15, -1, 400)])
+    got = {"array": np.log2(xs).tolist(),
+           "single": [float(np.log2(xs[i : i + 1])[0]) for i in range(len(xs))],
+           "math": [math.log2(x) for x in xs.tolist()]}
+    worst = dict.fromkeys(got, 0.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+        for i, x in enumerate(xs.tolist()):
+            exact = Decimal(x).ln() / ln2
+            ulp = math.ulp(float(exact))
+            for name, values in got.items():
+                worst[name] = max(worst[name], abs(float(Decimal(values[i]) - exact)) / ulp)
+    assert max(worst.values()) <= inner.LOG2_ULPS, worst
+
+
+def test_support_logs_bracket_the_priced_rate_of_any_selection():
+    """For random slots and selections of up to 80 entries, with floors
+    spread up to 1e+-9, the closed-form bracket holds the rate
+    ``_slot_state`` prices at every floor, a few ulps around each and
+    inside every gap between them."""
+    rng = np.random.default_rng(11)
+    checked = big = 0
+    for trial in range(60):
+        N, K = int(rng.integers(1, 9)), int(rng.integers(1, 81))
+        iota = _spread_floors(rng, (N, K))
+        select = (rng.uniform(size=(N, K)) < rng.uniform(0.1, 1.0)).astype(np.int8)
+        if not select.any():
+            select[0, 0] = 1
+        logs = inner._SupportLogs(iota[select.astype(bool)])
+        big += select.sum() >= 64
+        for x in _levels_around(iota[select.astype(bool)].tolist(), rng):
+            rate = inner._slot_state(x, iota, 1, select, True)[2]
+            lo, hi = logs.rate_bounds(x)
+            assert lo <= rate <= hi, (trial, x, lo, rate, hi)
+            checked += 1
+    assert checked >= 5000 and big >= 5
+
+
+def test_curve_bounds_use_the_piece_bracket_inside_certified_pieces():
+    """Inside every certified piece, a few ulps from either end and in
+    between, ``SlotCurve.bounds`` is the closed-form bracket of the
+    piece's selection and holds the priced rate."""
+    rng = np.random.default_rng(17)
+    pieces = 0
+    for trial in range(12):
+        N, K, cap = int(rng.integers(2, 6)), int(rng.integers(4, 40)), int(rng.integers(1, 9))
+        iota = _spread_floors(rng, (N, K))
+        curve = solve_slot_cap(iota, cap, float(iota.max()) * 4.0)
+        lo, hi = float(iota.min()), curve.slot_cap.level
+        for x in np.linspace(lo, hi, 30)[1:]:
+            curve.state(float(x))
+        for s, q, select in _pieces_of(curve):
+            want = inner._SupportLogs(iota[select.astype(bool)])
+            inside = [_ulps(s, k) for k in (1, 3)] + [_ulps(q, -k) for k in (1, 3)]
+            for x in inside + [float(rng.uniform(s, q))]:
+                if not s < x < q:
+                    continue
+                rate = inner._slot_state(x, iota, cap, select, True)[2]
+                bounds = curve.bounds(x)
+                assert bounds == want.rate_bounds(x), (trial, s, q, x)
+                assert bounds[0] <= rate <= bounds[1], (trial, x, bounds, rate)
+            pieces += 1
+    assert pieces >= 100
+
+
+def _frozen(rng, N, K, L):
+    """Random iota (N, K, L), per-slot supports (empty ones too) and cap."""
+    iota = _spread_floors(rng, (N, K, L))
+    supports = [rng.uniform(size=(N, K)) < rng.uniform(0.0, 1.0) for _ in range(L)]
+    power_cap = float(iota.max()) * 10.0 ** rng.uniform(-3, 1)
+    return inner._FrozenSupports(supports, iota, power_cap)
+
+
+def _slot_rate(frozen, t, mu):
+    vals = frozen.floors[t]
+    lvl = min(mu, frozen.cap_levels[t])
+    act = vals[vals < lvl]
+    return float(np.log2(lvl / act).sum()) if act.size else 0.0
+
+
+def test_frozen_support_brackets_hold_each_slots_float_rate():
+    """Each slot's closed-form bracket holds the float sum the frozen
+    rate adds for it, at floors, a few ulps around them, at the cap
+    levels and between; supports reach 80 entries."""
+    rng = np.random.default_rng(23)
+    checked = big = 0
+    for trial in range(40):
+        N, K, L = int(rng.integers(1, 9)), int(rng.integers(1, 81)), int(rng.integers(1, 5))
+        frozen = _frozen(rng, N, K, L)
+        big += max(v.size for v in frozen.floors) >= 64
+        floors = [x for v in frozen.floors for x in v.tolist()]
+        if not floors:
+            continue
+        for mu in _levels_around(floors + frozen.cap_levels.tolist(), rng):
+            for t, logs in enumerate(frozen.logs):
+                lo, hi = logs.rate_bounds(min(mu, float(frozen.cap_levels[t])))
+                rate = _slot_rate(frozen, t, mu)
+                assert lo <= rate <= hi, (trial, t, mu, lo, rate, hi)
+                checked += 1
+    assert checked >= 5000 and big >= 5
+
+
+def test_frozen_supports_settle_like_the_float_rate(monkeypatch):
+    """``_FrozenSupports.reaches`` decides ``rate >= target`` as the
+    float rate does, for targets at the exact rate, one ulp either side
+    and 1e-3 away, at floors, cap levels and random levels; only the
+    targets the brackets cannot settle compute the rate."""
+    rng = np.random.default_rng(29)
+    computed = decided = 0
+    for trial in range(40):
+        N, K, L = int(rng.integers(1, 6)), int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        frozen = _frozen(rng, N, K, L)
+        floors = [x for v in frozen.floors for x in v.tolist()]
+        if not floors:
+            continue
+        rate = frozen.rate
+        calls = []
+        monkeypatch.setattr(frozen, "rate", lambda mu: calls.append(mu) or rate(mu))
+        levels = _levels_around(floors + frozen.cap_levels.tolist(), rng)
+        for mu in levels[:: max(1, len(levels) // 60)]:
+            total = rate(mu)
+            near = (total, float(np.nextafter(total, math.inf)),
+                    float(np.nextafter(total, -math.inf)))
+            for vbar in near + (total * (1.0 + 1e-3), total * (1.0 - 1e-3)):
+                if vbar <= 0.0:
+                    continue
+                before = len(calls)
+                assert frozen.reaches(mu, vbar) == (total >= vbar), (trial, mu, vbar, total)
+                if vbar in near and total > 0.0:
+                    assert len(calls) == before + 1  # within the band: computed
+                computed += len(calls) - before
+                decided += 1
+    assert decided >= 1000 and computed < 0.7 * decided
