@@ -32,20 +32,29 @@ interval through the slot, whose water-level probes and one-sided limits
 
 A slot's matching is piecewise constant in the level, so the selection
 recorded at the nearest level is almost always the answer at the next
-one; it is handed to the kernel as a hint, which the kernel returns only
-under its optimality certificate (see :mod:`aoiplan.matching`), so hints
-change speed, never results.  When the hint is returned it is the same
-array object, so a run of equal selections is stored once.
+one; it is handed to the kernel as a hint, which the kernel returns,
+possibly repaired, only under its optimality certificate (see
+:mod:`aoiplan.matching`), so hints change speed, never results.  When
+the hint is returned it is the same array object, so a run of equal
+selections is stored once.
 
 Most queries need no matching at all.  When two adjacent recorded levels
 s < q hold the same selection, the gap between them is checked once: no
-floor may lie inside it, and the selection must pass the kernel's
-certificate at both ends with an extra margin covering the curvature of
-the matching cost in the level (see :mod:`aoiplan.matching`).  A gap
-that passes is a certified piece: the kernel returns that selection at
-every level strictly inside it, so a query there is priced from the
-selection with the very float operations that follow the kernel in
-:func:`_slot_state`, and its bits are those of a solve.  An exact hit is
+floor may lie inside it, and the selection's certificate slack at both
+ends must clear the kernel's margin there plus an extra margin covering
+the curvature of the matching cost in the level (see
+:mod:`aoiplan.matching`).  The curve stores each recorded level's slack
+and ``max|w|`` as two floats.  The kernel hands them over whenever it
+certified its selection there, as an accepted or a repaired hint; only a
+level solved by the fast path or the flow solver has its certificate run
+by the curve, once, when a check first needs it.  A check thus compares
+stored floats and re-runs neither water-fills nor certificates, and it
+decides exactly as running the certificate at both ends would.  A margin
+that overflows (a huge power budget) refuses the piece, which is always
+sound.  A gap that passes is a certified piece: the kernel returns that
+selection at every level strictly inside it, so a query there is priced
+from the selection with the very float operations that follow the kernel
+in :func:`_slot_state`, and its bits are those of a solve.  An exact hit is
 priced from its recorded selection, since the kernel is deterministic.
 A new level splits a certified piece into two certified halves, while
 any other gap splits into two unchecked ones.  Inside the cap bisection
@@ -140,14 +149,14 @@ recorded level is unbounded, so the slot gets asked.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelProfile
 from .errors import BinaryRoundingError
-from .matching import AssignmentProblem, _certified, _stop_tol, min_cost_b_matching
+from .matching import AssignmentProblem, _certificate, _stop_tol, min_cost_b_matching
 from .numeric import seq_sum
 
 LN2 = math.log(2.0)
@@ -239,7 +248,7 @@ def water_fill(level, iota):
     lvl = float(level)
     power = np.maximum(0.0, lvl - i)
     if lvl > 0.0:
-        rate = np.where(lvl > i, np.log2(np.maximum(lvl, 1e-300) / i), 0.0)
+        rate = np.where(lvl > i, np.log2(max(lvl, 1e-300) / i), 0.0)
     else:
         rate = np.zeros_like(i, dtype=float)
     return power, rate
@@ -252,7 +261,9 @@ def assignment_weights(level, iota):
 
 
 def _slot_state(level, iota2d, cap, hint=None, priced=False):
-    """Kernel selection at ``level`` with its assigned power and rate.
+    """Kernel selection at ``level`` with its assigned power and rate, and
+    the certificate's ``(slack, max|w|)`` when the kernel certified the
+    selection (else None).
 
     With ``priced`` the hint is a selection the kernel is known to return
     at ``level``, a certified piece's or the one recorded there, and no
@@ -260,38 +271,17 @@ def _slot_state(level, iota2d, cap, hint=None, priced=False):
     """
     power, rate = water_fill(level, iota2d)
     if priced:
-        select = hint
+        select, cert = hint, None
     else:
         w = power - LN2 * float(level) * rate
-        select = min_cost_b_matching(AssignmentProblem(w, cap), hint=hint).select
+        out = min_cost_b_matching(AssignmentProblem(w, cap), hint=hint)
+        select, cert = out.select, out.cert
     sel = select.astype(bool)
-    return select, float(power[sel].sum()), float(rate[sel].sum())
+    return select, float(power[sel].sum()), float(rate[sel].sum()), cert
 
 
 def _same(a, b) -> bool:
     return a is b or a.tobytes() == b.tobytes()
-
-
-def _piece_certified(iota2d, cap, s, q, select) -> bool:
-    """Whether the kernel returns ``select`` at every level strictly
-    between ``s < q``, two levels at which it returned ``select``.
-
-    No floor may lie in ``(s * (1 - PIECE_FLOOR_GUARD), q)``, so every
-    entry keeps its sign across the gap (the band below ``s`` keeps the
-    weights of entries just turned active clear of rounding to zero), and
-    ``select`` must pass the certificate at both ends with the extra
-    margin the matching module derives: the curvature term
-    ``(q - s)**2 / (8 s)``, the certificate's own margin at ``q`` and
-    room for rounding.
-    """
-    if ((iota2d > s * (1.0 - PIECE_FLOOR_GUARD)) & (iota2d < q)).any():
-        return False
-    w_q = assignment_weights(q, iota2d)
-    K = iota2d.shape[1]
-    extra = ((q - s) ** 2 / (8.0 * s) + 4.0 * K * _stop_tol(w_q)
-             + PIECE_ROUNDING * K * (1.0 + q + float(np.abs(w_q).max())))
-    return (_certified(assignment_weights(s, iota2d), cap, select, extra)
-            and _certified(w_q, cap, select, extra))
 
 
 def _bisect(lo: float, hi: float, reaches, rel: float = BRACKET_REL_TOL,
@@ -346,11 +336,12 @@ class _SlotLimits:
 
 
 class SlotCurve:
-    """The kernel's selection, power and rate at every level asked so far
-    for one slot and load cap, and bounds on the rate in between: the
-    closed-form bracket inside certified pieces, the secant bounds with
-    the slack of the module docstring elsewhere.  :func:`solve_slot_cap`
-    returns one with ``power_cap`` and ``slot_cap`` set."""
+    """The kernel's selection, power, rate and certificate slack at every
+    level asked so far for one slot and load cap, and bounds on the rate
+    in between: the closed-form bracket inside certified pieces, the
+    secant bounds with the slack of the module docstring elsewhere.
+    :func:`solve_slot_cap` returns one with ``power_cap`` and ``slot_cap``
+    set."""
 
     def __init__(self, iota2d: np.ndarray, cap: int):
         self.iota2d = iota2d
@@ -361,8 +352,10 @@ class SlotCurve:
         self._selects = []  # kernel selection at each recorded level
         self._pieces = []   # gap below each recorded level: True certified piece,
         #                     False not a piece, None unchecked
+        self._certs = []    # (certificate slack, max|w|) at each recorded level, or None
         self._logs = {}     # id of a stored selection -> _SupportLogs of its floors
-        self._iota_min = float(iota2d.min())
+        self._floors = sorted(iota2d.ravel().tolist())
+        self._iota_min = self._floors[0]
         self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
 
     def _piece(self, j: int):
@@ -372,9 +365,45 @@ class SlotCurve:
         if not 0 < j < len(levels):
             return None
         if pieces[j] is None:
-            pieces[j] = (_same(selects[j - 1], selects[j]) and _piece_certified(
-                self.iota2d, self.cap, levels[j - 1], levels[j], selects[j - 1]))
+            pieces[j] = _same(selects[j - 1], selects[j]) and self._piece_certified(j)
         return selects[j - 1] if pieces[j] else None
+
+    def _cert(self, j: int) -> tuple:
+        """(certificate slack, max|w|) of the selection recorded at level j:
+        the kernel's when it certified that selection, else certified now."""
+        cert = self._certs[j]
+        if cert is None:
+            w = assignment_weights(self._levels[j], self.iota2d)
+            cert = self._certs[j] = (_certificate(w, self.cap, self._selects[j])[0],
+                                     float(np.abs(w).max()))
+        return cert
+
+    def _piece_certified(self, j: int) -> bool:
+        """Whether the kernel returns the selection it returned at recorded
+        levels ``s < q`` (j-1 and j) at every level strictly between.
+
+        No floor may lie in ``(s * (1 - PIECE_FLOOR_GUARD), q)``, so every
+        entry keeps its sign across the gap (the band below ``s`` keeps the
+        weights of entries just turned active clear of rounding to zero),
+        and the selection's stored certificate slack at both ends must
+        exceed the certificate's margin there plus the extra the matching
+        module derives: the curvature term ``(q - s)**2 / (8 s)``, the
+        certificate's own margin at ``q`` and room for rounding.  A margin
+        that overflows refuses the piece.
+        """
+        s, q = self._levels[j - 1], self._levels[j]
+        floors = self._floors
+        i = bisect_right(floors, s * (1.0 - PIECE_FLOOR_GUARD))
+        if i < len(floors) and floors[i] < q:
+            return False
+        K = self.iota2d.shape[1]
+        slack_q, w_max_q = self._cert(j)
+        margin_q = 4.0 * K * _stop_tol(w_max_q)
+        extra = ((q - s) * (q - s) / (8.0 * s) + margin_q
+                 + PIECE_ROUNDING * K * (1.0 + q + w_max_q))
+        slack_s, w_max_s = self._cert(j - 1)
+        return (slack_s > 4.0 * K * _stop_tol(w_max_s) + extra
+                and slack_q > margin_q + extra)
 
     def state(self, level: float) -> tuple:
         """Kernel (selection, power, rate) at ``level``, recorded.
@@ -386,12 +415,13 @@ class SlotCurve:
         levels, selects, pieces = self._levels, self._selects, self._pieces
         j = bisect_left(levels, level)
         if j < len(levels) and levels[j] == level:
-            return _slot_state(level, self.iota2d, self.cap, selects[j], True)
+            return _slot_state(level, self.iota2d, self.cap, selects[j], True)[:3]
         hint = known = self._piece(j)
         if known is None and levels:
             lower = j == len(levels) or (j and level - levels[j - 1] < levels[j] - level)
             hint = selects[j - 1 if lower else j]
-        select, power, rate = _slot_state(level, self.iota2d, self.cap, hint, known is not None)
+        select, power, rate, cert = _slot_state(level, self.iota2d, self.cap, hint,
+                                                known is not None)
         if hint is not None and _same(select, hint):
             select = hint  # equal selections are stored once
         # a certified piece splits into certified halves, any other gap
@@ -403,6 +433,7 @@ class SlotCurve:
         self._rates.insert(j, rate)
         selects.insert(j, select)
         pieces.insert(j, status)
+        self._certs.insert(j, cert)
         return select, power, rate
 
     def limits(self, level: float) -> _SlotLimits:
@@ -679,10 +710,11 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         (1.0 - mix[t]) * limits[t].p_minus + mix[t] * limits[t].p_plus for t in range(L)))
 
     # binary plan: freeze a limit support per slot and re-solve the level
-    candidates = [
-        [limits[t].a_plus for t in range(L)],
-        [limits[t].a_minus for t in range(L)],
-    ]
+    plus = [lim.a_plus for lim in limits]
+    minus = [lim.a_minus for lim in limits]
+    # equal supports solve the same, and only a strictly lower energy
+    # replaces the first, so the usual case of equal sides solves once
+    candidates = [plus] if all(map(_same, plus, minus)) else [plus, minus]
     best = None
     best_supports = None
     for supports in candidates:

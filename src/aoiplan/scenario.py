@@ -101,8 +101,8 @@ def _collect_violations(s: Scenario) -> list:
         )
     if not s.payload_threshold_vbar > 0.0:
         v.append(f"payload_threshold_vbar must be > 0, got {s.payload_threshold_vbar!r}")
-    if not s.power_budget_pbar > 0.0:
-        v.append(f"power_budget_pbar must be > 0, got {s.power_budget_pbar!r}")
+    if not 0.0 < s.power_budget_pbar < math.inf:
+        v.append(f"power_budget_pbar must be a finite number > 0, got {s.power_budget_pbar!r}")
     if not s.noise_power_delta2 > 0.0:
         v.append(f"noise_power_delta2 must be > 0, got {s.noise_power_delta2!r}")
     if not s.slot_duration > 0.0:

@@ -71,6 +71,19 @@ def test_generate_missing_dir_is_io_error(tmp_path):
     assert main(["generate", "--seed", "1", "--out", str(missing)]) == 4
 
 
+def test_infinite_power_budget_is_validation_error(tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    save_scenario(desk_scenario(3), scen)
+    doc = json.loads(scen.read_text())
+    doc["power_budget_pbar"] = float("inf")  # written as the JSON token Infinity
+    scen.write_text(json.dumps(doc))
+    assert main(["generate", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert "power_budget_pbar" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["plan", "--scenario", str(scen), "--seed", "1", "--epsilon-theta", "2"]) == 2
+    assert "power_budget_pbar" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- plan
 
 def test_plan_matches_library(tmp_path, desk_files, capsys):
@@ -84,6 +97,21 @@ def test_plan_matches_library(tmp_path, desk_files, capsys):
     plan = shortest_path(graph)
     assert f"{plan.total_energy:.9g}" in printed
     assert out.exists()
+
+
+def test_plan_with_a_huge_power_budget_succeeds_or_fails_typed(tmp_path):
+    """A budget of 1e170 mW makes the piece check's margin overflow; the
+    piece is then refused, and the plan completes."""
+    out = tmp_path / "t1"
+    assert main(["generate", "--preset", "table1", "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "scenario.json").read_text())
+    doc.update(horizon_T=5, uav_trajectory=doc["uav_trajectory"][:5], power_budget_pbar=1e170)
+    doc.pop("power_budget_dbm", None)
+    scen = tmp_path / "huge.json"
+    scen.write_text(json.dumps(doc))
+    rc = main(["plan", "--scenario", str(scen), "--seed", "1", "--epsilon-theta", "4",
+               "--out", str(tmp_path / "plan.json")])
+    assert rc in (0, 2, 3)
 
 
 def test_plan_rejects_zero_cap(desk_files):

@@ -1,8 +1,9 @@
 """Degenerate inputs through the whole pipeline: ``tau == T`` (also with a
-single slot), a single base station and all-equal floors.  Each runs
-``build_graph`` -> ``shortest_path`` -> ``age_aware_plan`` -> ``simulate``
-and is checked against the brute-force oracles at desk sizes; a target
-no plan can meet fails with a typed :class:`AoiPlanError`."""
+single slot), a single base station, a single resource block and
+all-equal floors.  Each runs ``build_graph`` -> ``shortest_path`` ->
+``age_aware_plan`` -> ``simulate`` and is checked against the brute-force
+oracles at desk sizes; a target no plan can meet fails with a typed
+:class:`AoiPlanError`."""
 
 import dataclasses
 import math
@@ -50,6 +51,8 @@ def _cases():
     yield "equal floors", s, _equal_floor_profile(2, 3, 6), 2
     s = desk_scenario(9, T=4, N=3, K=4, tau=4)
     yield "equal floors, tau == T", s, _equal_floor_profile(3, 4, 4), 3
+    yield "K == 1", desk_scenario(10, T=4, N=2, K=1, tau=2), None, 1
+    yield "K == N == 1, tau == T", desk_scenario(11, T=3, N=1, K=1, tau=3), None, 1
 
 
 @pytest.mark.parametrize("name,scenario,profile,cap", list(_cases()),

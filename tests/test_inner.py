@@ -6,6 +6,7 @@ import pytest
 
 from aoiplan import ChannelProfile
 import aoiplan.inner as inner
+from aoiplan.matching import _certificate, _stop_tol
 from aoiplan.inner import (
     Infeasible,
     IntervalSpec,
@@ -383,15 +384,23 @@ def test_certified_pieces_hold_the_cold_selection_inside():
     assert accepted >= 100
 
 
+def _gap_certified(iota, cap, s, q):
+    """Piece check of the gap [s, q] on a fresh curve that recorded only s and q."""
+    curve = SlotCurve(iota, cap)
+    curve.state(s)
+    curve.state(q)
+    return curve._piece_certified(1)
+
+
 def test_piece_refused_with_a_floor_inside_or_just_below():
     iota = np.array([[1.0], [1.5]])
     first = np.array([[1], [0]], dtype=np.int8)  # station 0 keeps the RB throughout
     for x in (1.2, 1.5 * (1.0 + 5e-7), 1.5 * (1.0 + 2e-6), 1.6, 2.0):
         assert np.array_equal(inner._slot_state(x, iota, 1)[0], first)
-    assert inner._piece_certified(iota, 1, 1.6, 2.0, first)
-    assert not inner._piece_certified(iota, 1, 1.2, 2.0, first)  # floor 1.5 inside
-    assert not inner._piece_certified(iota, 1, 1.5 * (1.0 + 5e-7), 2.0, first)
-    assert inner._piece_certified(iota, 1, 1.5 * (1.0 + 2e-6), 2.0, first)
+    assert _gap_certified(iota, 1, 1.6, 2.0)
+    assert not _gap_certified(iota, 1, 1.2, 2.0)  # floor 1.5 inside
+    assert not _gap_certified(iota, 1, 1.5 * (1.0 + 5e-7), 2.0)
+    assert _gap_certified(iota, 1, 1.5 * (1.0 + 2e-6), 2.0)
     curve = SlotCurve(iota, 1)
     for x in (1.2, 2.0):
         curve.state(x)
@@ -399,6 +408,54 @@ def test_piece_refused_with_a_floor_inside_or_just_below():
     curve.state(1.6)
     assert np.array_equal(_piece_at(curve, 1.8), first)
     assert _piece_at(curve, 1.4) is None
+
+
+def _fresh_piece_check(iota, cap, s, q, select):
+    """The piece check made afresh: no floor in the guarded gap, and the
+    certificate re-run at both ends clears its margin plus the extra."""
+    if ((iota > s * (1.0 - inner.PIECE_FLOOR_GUARD)) & (iota < q)).any():
+        return False
+    K = iota.shape[1]
+    w_s, w_q = inner.assignment_weights(s, iota), inner.assignment_weights(q, iota)
+
+    def margin(w):
+        return 4.0 * K * _stop_tol(float(np.abs(w).max()))
+
+    extra = ((q - s) ** 2 / (8.0 * s) + margin(w_q)
+             + inner.PIECE_ROUNDING * K * (1.0 + q + float(np.abs(w_q).max())))
+    return all(_certificate(w, cap, select)[0] > margin(w) + extra for w in (w_s, w_q))
+
+
+def test_stored_slack_piece_decisions_equal_fresh_certificates():
+    """Each gap between equal selections is decided from the (slack,
+    max|w|) the curve stored at its ends, mostly handed over by the kernel;
+    the stored pairs equal the certificate re-run, and every decision equals
+    the check made afresh, on curves seeded around every matching switch."""
+    rng = np.random.default_rng(47)
+    checked = accepted = 0
+    for trial in range(25):
+        N, K, cap = int(rng.integers(2, 6)), int(rng.integers(3, 9)), int(rng.integers(1, 4))
+        iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
+        curve = solve_slot_cap(iota, cap, 8.0)
+        lo, hi = float(iota.min()), curve.slot_cap.level
+        for x in [float(x) for x in np.linspace(lo, hi, 25)[1:]]:
+            curve.state(x)
+        for a, _ in _switch_levels(iota, cap, lo, hi, grid=40):
+            for x in (a * (1.0 + sign * 10.0 ** -e) for sign in (-1, 1) for e in (3, 6, 9, 12)):
+                curve.state(x)
+        levels, selects = curve._levels, curve._selects
+        for j, cert in enumerate(curve._certs):
+            if cert is not None:
+                w = inner.assignment_weights(levels[j], iota)
+                assert cert == (_certificate(w, cap, selects[j])[0], float(np.abs(w).max()))
+        for j in range(1, len(levels)):
+            if not np.array_equal(selects[j - 1], selects[j]):
+                continue
+            fresh = _fresh_piece_check(iota, cap, levels[j - 1], levels[j], selects[j])
+            assert curve._piece_certified(j) == fresh, (trial, j)
+            checked += 1
+            accepted += fresh
+    assert checked >= 1000 and 500 <= accepted < checked
 
 
 def test_no_certified_piece_spans_the_near_tie_band():

@@ -4,11 +4,18 @@ import pytest
 import aoiplan.inner as inner
 import aoiplan.matching as matching
 from aoiplan.inner import SlotCurve, assignment_weights
-from aoiplan.matching import AssignmentProblem, _certified, min_cost_b_matching
+from aoiplan.matching import (AssignmentProblem, _certificate, _repaired, _ssp, _stop_tol,
+                              min_cost_b_matching)
 from aoiplan.oracle import oracle_matching
 from aoiplan.timing import build_graph
 
 from conftest import synthetic_profile
+
+
+def _certified(w, cap, hint, extra=0.0):
+    """Whether ``hint``'s slack clears the certificate's margin plus ``extra``."""
+    margin = 4.0 * w.shape[1] * _stop_tol(float(np.abs(w).max()))
+    return _certificate(w, cap, hint)[0] > margin + extra
 
 
 def _assert_feasible(assignment, cap):
@@ -298,3 +305,101 @@ def test_warm_starts_skip_most_flow_solves(small_scenario, small_profile, monkey
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert 0 < seen[0]["ssp"] * 10 < seen[0]["matchings"] + seen[0]["priced"]
+
+
+# ---------------------------------------------------------------- hint repair
+
+def _wide_random_slot(rng):
+    """N 1-6, K 1-16, cap 1-4; some slots repeat a row or a column."""
+    N, K = int(rng.integers(1, 7)), int(rng.integers(1, 17))
+    iota = rng.uniform(0.2, 2.0, size=(N, K))
+    if N > 1 and rng.random() < 0.3:
+        iota[1] = iota[0]
+    if K > 1 and rng.random() < 0.3:
+        iota[:, 1] = iota[:, 0]
+    return iota, int(rng.integers(1, 5))
+
+
+def _random_feasible(rng, w, cap):
+    """A random selection of negative entries, one station per RB and at
+    most ``cap`` RBs per station."""
+    N, K = w.shape
+    select = np.zeros((N, K), dtype=np.int8)
+    load = [0] * N
+    for k in rng.permutation(K).tolist():
+        n = int(rng.integers(N))
+        if w[n, k] < 0.0 and load[n] < cap and rng.random() < 0.7:
+            select[n, k] = 1
+            load[n] += 1
+    return select
+
+
+def test_trimmed_and_repaired_hints_equal_cold_ssp(monkeypatch):
+    """Whatever hint the repair starts from (a neighbour level's answer,
+    answers holding entries inactive at this level, random feasible
+    selections), a selection it returns is the flow solver's, with the
+    certificate's slack and max|w|, and the kernel's result is the cold one."""
+    cancels = {"cycles": 0}
+    cancel = matching._cancel
+
+    def counting_cancel(*args):
+        cancels["cycles"] += 1
+        return cancel(*args)
+
+    monkeypatch.setattr(matching, "_cancel", counting_cancel)
+    rng = np.random.default_rng(53)
+    trimmed = cycled = 0
+    for trial in range(300):
+        iota, cap = _wide_random_slot(rng)
+        level = float(rng.uniform(0.5, 3.0))
+        w = assignment_weights(level, iota)
+        if rng.random() < 0.3:  # entries within +-1e-13 of zero
+            mask = rng.random(w.shape) < 0.3
+            w = np.where(mask, rng.uniform(-1e-13, 1e-13, size=w.shape), w)
+        cold = _ssp(w, cap)
+        neighbour = _ssp(assignment_weights(level * float(rng.uniform(0.97, 1.03)), iota), cap)
+        higher = _ssp(assignment_weights(level * 1.5, iota), cap)  # floors above level
+        padded = np.where(w >= 0.0, 1, cold).astype(np.int8)     # plus every inactive entry
+        hints = [neighbour, higher, padded] + [_random_feasible(rng, w, cap) for _ in range(3)]
+        for hint in hints:
+            before = cancels["cycles"]
+            select, cert = _repaired(w, cap, hint)
+            if select is not None:
+                assert np.array_equal(select, cold), trial
+                assert cert == (_certificate(w, cap, select)[0], float(np.abs(w).max()))
+                trimmed += bool(((hint != 0) & (w >= 0.0)).any())
+                cycled += cancels["cycles"] > before
+            _assert_same_as_cold(AssignmentProblem(w, cap), hint)
+    assert trimmed >= 150 and cycled >= 150
+
+
+def test_repairs_leave_few_flow_solves_on_the_table1_graph(monkeypatch):
+    """The cap-4 ``table1`` graph: refused hints are repaired, so the flow
+    solver runs little more than once per slot (its unhinted first probe),
+    the counts repeat exactly, and the matchings are those of before."""
+    from aoiplan import build_profile
+    from aoiplan.scenario import default_patrol_scenario
+
+    counts = {"matchings": 0, "ssp": 0}
+    kernel, ssp = inner.min_cost_b_matching, matching._ssp
+
+    def counting_kernel(*args, **kwargs):
+        counts["matchings"] += 1
+        return kernel(*args, **kwargs)
+
+    def counting_ssp(*args):
+        counts["ssp"] += 1
+        return ssp(*args)
+
+    monkeypatch.setattr(inner, "min_cost_b_matching", counting_kernel)
+    monkeypatch.setattr(matching, "_ssp", counting_ssp)
+    scenario = default_patrol_scenario(1)
+    profile = build_profile(scenario, 1)
+    seen = []
+    for _ in range(2):
+        counts.update(matchings=0, ssp=0)
+        build_graph(scenario, profile, rb_cap=4)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["matchings"] == 2670
+    assert 0 < seen[0]["ssp"] <= 100

@@ -191,8 +191,8 @@ def test_slot_cap_solved_once_per_slot(small_scenario, small_profile, monkeypatc
 
 def test_piece_counts_repeat_exactly(small_scenario, small_profile, monkeypatch):
     counts = {"matchings": 0, "checks": 0, "priced": 0}
-    kernel, check, state = (aoiplan.inner.min_cost_b_matching, aoiplan.inner._piece_certified,
-                            aoiplan.inner._slot_state)
+    kernel, check, state = (aoiplan.inner.min_cost_b_matching,
+                            aoiplan.inner.SlotCurve._piece_certified, aoiplan.inner._slot_state)
 
     def counting_kernel(*args, **kwargs):
         counts["matchings"] += 1
@@ -207,7 +207,7 @@ def test_piece_counts_repeat_exactly(small_scenario, small_profile, monkeypatch)
         return state(*args)
 
     monkeypatch.setattr(aoiplan.inner, "min_cost_b_matching", counting_kernel)
-    monkeypatch.setattr(aoiplan.inner, "_piece_certified", counting_check)
+    monkeypatch.setattr(aoiplan.inner.SlotCurve, "_piece_certified", counting_check)
     monkeypatch.setattr(aoiplan.inner, "_slot_state", counting_state)
     seen = []
     for _ in range(2):
