@@ -2,8 +2,10 @@
 
 Subcommands: generate, plan, frontier, simulate, transform, select, bench,
 oracle.  Exit codes: 0 success, 2 validation error, 3 infeasible problem,
-4 I/O error.  When no ``--seed`` is given, the ``MPCOMM_SEED`` environment
-variable is consulted before falling back to the scenario's master seed.
+4 I/O error.  Each flag's value is checked by its argparse ``type=``
+converter, so a bad one exits 2 with argparse's message naming the flag.
+When no ``--seed`` is given, the ``MPCOMM_SEED`` environment variable is
+consulted before falling back to the scenario's master seed.
 
 All floats print with 9 significant digits; CSV output is comma-separated
 with a header row and LF line endings so repeated runs are byte-identical.
@@ -27,9 +29,6 @@ from .errors import (
     AoiPlanError,
     BudgetInfeasibleError,
     NoFeasiblePlanError,
-    OracleBudgetError,
-    PlanFormatError,
-    ScenarioParseError,
     ScenarioValidationError,
 )
 from .inner import Infeasible, IntervalSpec, solve_interval
@@ -63,22 +62,45 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse ``type=`` converter: ``convert`` the text, then reject a
+    value that is not ``ok``.  argparse prefixes the message with the flag."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_margin = _checked(float, lambda x: 1.0 <= x < math.inf, "a finite number >= 1")
+_finite = _checked(float, math.isfinite, "a finite number")
+_k_list = _checked(lambda text: [int(k) for k in text.split(",")],
+                   lambda ks: len(set(ks)) >= 2 and min(ks) >= 1,
+                   "at least two distinct positive integers")
+
+
 def _resolve_seed(args, scenario: Scenario | None) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("MPCOMM_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise ScenarioValidationError([f"MPCOMM_SEED is not an integer: {env!r}"]) from exc
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ScenarioValidationError([f"MPCOMM_SEED {exc}"]) from None
     if scenario is not None:
         return scenario.master_seed
     return 0
 
 
 def _load_inputs(args):
-    """Resolve (scenario, profile) from --scenario/--profile/--seed flags."""
+    """Resolve (scenario, profile, seed) from --scenario/--profile/--seed flags."""
     if args.scenario:
         scenario = load_scenario(args.scenario)
     else:
@@ -95,23 +117,8 @@ def _load_inputs(args):
     return scenario, profile, seed
 
 
-def _check_margin(margin: float) -> None:
-    if not 1.0 <= margin < math.inf:
-        raise ScenarioValidationError([f"--margin must be a finite number >= 1, got {margin}"])
-
-
-def _load_cap(args, default: int | None) -> int:
-    """The --epsilon-theta load cap, which must be >= 1; ``default`` when absent."""
-    if args.epsilon_theta is None:
-        return default
-    if args.epsilon_theta < 1:
-        raise ScenarioValidationError([f"--epsilon-theta must be >= 1, got {args.epsilon_theta}"])
-    return args.epsilon_theta
-
-
-def _parse_g(spec: str, flag: str):
-    """Parse the monotone-map spec given to ``flag``: a named map,
-    `scale:a`, or `pow:p`."""
+def _parse_g(spec: str):
+    """Parse a monotone-map spec: a named map, `scale:a`, or `pow:p`."""
     if spec in _G_MAPS:
         return _G_MAPS[spec]
     kind, _, arg = spec.partition(":")
@@ -119,12 +126,11 @@ def _parse_g(spec: str, flag: str):
         try:
             a = float(arg)
         except ValueError:
-            raise ScenarioValidationError(
-                [f"{flag}: {spec!r} needs a number after '{kind}:'"]) from None
+            raise argparse.ArgumentTypeError(
+                f"{spec!r} needs a number after '{kind}:'") from None
         return (lambda x: a * x) if kind == "scale" else (lambda x: x**a)
-    raise ScenarioValidationError(
-        [f"{flag}: unknown map {spec!r}; choose from {sorted(_G_MAPS)} or scale:a / pow:p"]
-    )
+    raise argparse.ArgumentTypeError(
+        f"unknown map {spec!r}; choose from {sorted(_G_MAPS)} or scale:a / pow:p")
 
 
 # ----------------------------------------------------------------------
@@ -132,18 +138,10 @@ def _parse_g(spec: str, flag: str):
 # ----------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    if args.preset == "table1":
-        scenario = default_patrol_scenario(_resolve_seed(args, None))
-    else:
-        scenario = load_scenario(args.scenario) if args.scenario else \
-            default_patrol_scenario(_resolve_seed(args, None))
-    seed = _resolve_seed(args, scenario)
+    # --preset table1 leaves --scenario unset, which selects the same default
+    scenario, profile, seed = _load_inputs(args)  # validates before anything is written
     out = Path(args.out)
-    if not out.parent.exists():
-        print(f"error: output directory {out.parent} does not exist", file=sys.stderr)
-        return EXIT_IO
-    profile = channel.build_profile(scenario, seed)  # validates before anything is written
-    out.mkdir(exist_ok=True)
+    out.mkdir(exist_ok=True)  # a missing parent raises OSError: exit 4
     scen_path = out / "scenario.json"
     prof_path = out / "profile.npz"
     save_scenario(scenario, scen_path)
@@ -154,10 +152,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    cap = _load_cap(args, None)  # the flag is required
-    _check_margin(args.margin)
     scenario, profile, seed = _load_inputs(args)
-    graph = build_graph(scenario, profile, cap, rate_margin=args.margin)
+    graph = build_graph(scenario, profile, args.epsilon_theta, rate_margin=args.margin)
     if args.graph_csv:
         export_graph_csv(graph, args.graph_csv)
     plan = shortest_path(graph)
@@ -188,11 +184,6 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if (args.plan is None) == (args.policy is None):
-        raise ScenarioValidationError(["give exactly one of --plan and --policy"])
-    if args.replicas < 1:
-        raise ScenarioValidationError([f"--replicas must be >= 1, got {args.replicas}"])
-    _check_margin(args.margin)
     scenario, profile, seed = _load_inputs(args)
     if args.plan is not None:
         policy, header = planfile.load_plan(args.plan)
@@ -204,7 +195,7 @@ def cmd_simulate(args) -> int:
                   f"simulated on scenario {digest}", file=sys.stderr)
         planfile.validate_plan_rates(policy, profile)
     else:
-        cap = _load_cap(args, scenario.num_rb_K)
+        cap = args.epsilon_theta or scenario.num_rb_K
         policy = sim.POLICIES[args.policy](scenario, profile, cap, rate_margin=args.margin)
     report = sim.simulate(policy, profile, args.replicas, seed,
                           keep_traces=bool(args.trace))
@@ -229,38 +220,9 @@ def cmd_simulate(args) -> int:
     return EXIT_INFEASIBLE if not policy.feasible else EXIT_OK
 
 
-def _read_frontier_csv(path) -> list:
-    """Frontier points of an exported frontier CSV, without their plans.
-
-    Each row needs a load cap >= 1 and a finite energy >= 0.
-    """
-    points = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = sorted({"epsilon_theta", "energy_linear"} - set(reader.fieldnames or ()))
-        if missing:
-            raise PlanFormatError(f"frontier file {path} has no column {', '.join(missing)}")
-        for row in reader:
-            try:
-                cap, energy = int(row["epsilon_theta"]), float(row["energy_linear"])
-                ok = cap >= 1 and 0.0 <= energy < math.inf
-            except (TypeError, ValueError):  # TypeError: a short row's missing cell
-                ok = False
-            if not ok:
-                raise PlanFormatError(
-                    f"frontier file {path} line {reader.line_num}: epsilon_theta "
-                    f"{row['epsilon_theta']!r} or energy_linear {row['energy_linear']!r} "
-                    f"is not a load cap >= 1 and a finite energy >= 0")
-            points.append(pareto.FrontierPoint(load_cap=cap, energy=energy, plan=None))
-    if not points:
-        raise PlanFormatError(f"frontier file {path} has no rows")
-    return points
-
-
 def cmd_transform(args) -> int:
-    points = _read_frontier_csv(args.frontier)
-    image = pareto.transform_frontier(points, _parse_g(args.g1, "--g1"),
-                                       _parse_g(args.g2, "--g2"))
+    points = pareto.read_frontier_csv(args.frontier)
+    image = pareto.transform_frontier(points, args.g1, args.g2)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["g1_load", "g2_energy"])
@@ -271,17 +233,11 @@ def cmd_transform(args) -> int:
 
 
 def cmd_select(args) -> int:
-    points = _read_frontier_csv(args.frontier)
+    points = pareto.read_frontier_csv(args.frontier)
     if args.budget is not None:
-        point = pareto.budget_select(points, _parse_g(args.g1, "--g1"), args.budget)
+        point = pareto.budget_select(points, args.g1, args.budget)
         mode = f"budget {args.budget}"
     else:
-        problems = [f"{flag} must be finite, got {value}"
-                    for flag, value in (("--theta-target", args.theta_target),
-                                        ("--energy-target", args.energy_target))
-                    if not math.isfinite(value)]
-        if problems:
-            raise ScenarioValidationError(problems)
         try:
             util = pareto.weighted_lp_utility(args.alpha, args.p,
                                               args.theta_target, args.energy_target)
@@ -310,21 +266,9 @@ def cmd_bench(args) -> int:
     shared machine hits every K alike.  A point is the fastest solve's
     seconds, as ``timeit`` advises.
     """
-    try:
-        k_list = [int(k) for k in args.k_list.split(",")]
-    except ValueError:
-        k_list = []
-    problems = [f"{flag} must be >= 1, got {value}"
-                for flag, value in (("--n", args.n), ("--slots", args.slots), ("--cap", args.cap))
-                if value < 1]
-    if len(set(k_list)) < 2 or min(k_list) < 1:
-        problems.append(
-            f"--k-list needs at least two distinct positive integers, got {args.k_list!r}")
-    if problems:
-        raise ScenarioValidationError(problems)
     seed = args.seed if args.seed is not None else 0
     cases = []
-    for K in k_list:
+    for K in args.k_list:
         rng = np.random.default_rng([seed, K])
         gain = 10.0 ** rng.uniform(-9.5, -7.5, size=(args.n, K, args.slots))
         shape = rng.uniform(1.0, 30.0, size=(args.n, K, args.slots))
@@ -337,14 +281,14 @@ def cmd_bench(args) -> int:
         first = time.perf_counter() - t0
         cases.append((spec, profile, max(args.repeats, math.ceil(BENCH_POINT_S / first))))
     rounds = max(n for _, _, n in cases)
-    best = [math.inf] * len(k_list)
+    best = [math.inf] * len(args.k_list)
     for r in range(rounds):
         for i, (spec, profile, n) in enumerate(cases):
             if (r + 1) * n // rounds > r * n // rounds:  # n of the rounds, evenly spaced
                 t0 = time.perf_counter()
                 solve_interval(spec, profile)
                 best[i] = min(best[i], time.perf_counter() - t0)
-    rows = list(zip(k_list, best))
+    rows = list(zip(args.k_list, best))
     logs = np.log([r[0] for r in rows])
     logt = np.log([r[1] for r in rows])
     slope = float(np.polyfit(logs, logt, 1)[0])
@@ -364,7 +308,7 @@ def cmd_oracle(args) -> int:
                 [f"--start {args.start} and --end {args.end} must satisfy "
                  f"1 <= start < end <= {scenario.horizon_T + 1}"])
         spec = IntervalSpec(start=args.start, end=args.end,
-                            rb_cap=_load_cap(args, 1),
+                            rb_cap=args.epsilon_theta or 1,
                             rate_target=scenario.payload_threshold_vbar,
                             power_cap=scenario.power_budget_pbar)
         ours = solve_interval(spec, profile)
@@ -375,7 +319,7 @@ def cmd_oracle(args) -> int:
             return EXIT_INFEASIBLE
         print(f"oracle energy {_fmt(ref)}, solver energy {_fmt(ours.energy)}")
     else:  # plan
-        cap = _load_cap(args, scenario.num_rb_K)
+        cap = args.epsilon_theta or scenario.num_rb_K
         budget.check_plan(scenario.horizon_T, scenario.aoi_bound_tau)
         graph = build_graph(scenario, profile, cap)
 
@@ -402,22 +346,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile_flag=True):
+    def common(p):
         p.add_argument("--scenario", help="scenario JSON file")
-        if profile_flag:
-            p.add_argument("--profile", help="channel profile .npz file")
-        p.add_argument("--seed", type=int, help="seed override (else MPCOMM_SEED)")
+        p.add_argument("--profile", help="channel profile .npz file")
+        p.add_argument("--seed", type=_seed, help="seed override (else MPCOMM_SEED)")
 
     p = sub.add_parser("generate", help="write scenario + channel profile files")
-    common(p, profile_flag=False)
-    p.add_argument("--preset", choices=["table1"], help="named default scenario")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", help="scenario JSON file")
+    source.add_argument("--preset", choices=["table1"], help="named default scenario")
+    p.add_argument("--seed", type=_seed, help="seed override (else MPCOMM_SEED)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("plan", help="solve the full planning problem for one load cap")
     common(p)
-    p.add_argument("--epsilon-theta", type=int, required=True, help="per-BS RB load cap")
-    p.add_argument("--margin", type=float, default=1.0, help="rate-target margin >= 1")
+    p.add_argument("--epsilon-theta", type=_count, required=True, help="per-BS RB load cap")
+    p.add_argument("--margin", type=_margin, default=1.0, help="rate-target margin >= 1")
     p.add_argument("--out", help="plan file destination")
     p.add_argument("--graph-csv", help="also dump the timing graph edges")
     p.set_defaults(func=cmd_plan)
@@ -429,20 +374,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo a plan file or a named policy")
     common(p)
-    p.add_argument("--plan", help="plan file to evaluate")
-    p.add_argument("--policy", choices=list(sim.POLICIES),
-                   help="build and evaluate a named policy")
-    p.add_argument("--epsilon-theta", type=int, help="load cap for named policies")
-    p.add_argument("--margin", type=float, default=1.0, help="rate-target margin >= 1")
-    p.add_argument("--replicas", type=int, required=True)
+    policy = p.add_mutually_exclusive_group(required=True)
+    policy.add_argument("--plan", help="plan file to evaluate")
+    policy.add_argument("--policy", choices=list(sim.POLICIES),
+                        help="build and evaluate a named policy")
+    p.add_argument("--epsilon-theta", type=_count, help="load cap for named policies")
+    p.add_argument("--margin", type=_margin, default=1.0, help="rate-target margin >= 1")
+    p.add_argument("--replicas", type=_count, required=True)
     p.add_argument("--out", help="report JSON destination")
     p.add_argument("--trace", help="trace CSV destination")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("transform", help="map a frontier through monotone objectives")
     p.add_argument("--frontier", required=True, help="frontier CSV from `frontier`")
-    p.add_argument("--g1", required=True, help="load map (identity|square|log1p|sqrt|scale:a|pow:p)")
-    p.add_argument("--g2", required=True, help="energy map (same forms)")
+    p.add_argument("--g1", type=_parse_g, required=True,
+                   help="load map (identity|square|log1p|sqrt|scale:a|pow:p)")
+    p.add_argument("--g2", type=_parse_g, required=True, help="energy map (same forms)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transform)
 
@@ -450,19 +397,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frontier", required=True)
     p.add_argument("--alpha", type=float, default=0.5, help="load weight in [0, 1]")
     p.add_argument("--p", type=float, default=1.0, help="Lp exponent >= 1")
-    p.add_argument("--theta-target", type=float, default=0.0)
-    p.add_argument("--energy-target", type=float, default=0.0)
+    p.add_argument("--theta-target", type=_finite, default=0.0)
+    p.add_argument("--energy-target", type=_finite, default=0.0)
     p.add_argument("--budget", type=float, help="switch to budget mode: max g1(load)")
-    p.add_argument("--g1", default="identity", help="load map for budget mode")
+    p.add_argument("--g1", type=_parse_g, default="identity", help="load map for budget mode")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("bench", help="runtime scaling of the interval solver vs K")
-    p.add_argument("--k-list", default="10,20,40,80,160")
-    p.add_argument("--n", type=int, default=5, help="number of base stations")
-    p.add_argument("--slots", type=int, default=2, help="interval length")
-    p.add_argument("--cap", type=int, default=4, help="load cap")
+    p.add_argument("--k-list", type=_k_list, default="10,20,40,80,160")
+    p.add_argument("--n", type=_count, default=5, help="number of base stations")
+    p.add_argument("--slots", type=_count, default=2, help="interval length")
+    p.add_argument("--cap", type=_count, default=4, help="load cap")
     p.add_argument("--repeats", type=int, default=3, help="least solves per K")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle", help="brute-force cross-checks (hard size caps)")
@@ -470,21 +417,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=["inner", "plan"], required=True)
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--end", type=int, default=2)
-    p.add_argument("--epsilon-theta", type=int)
+    p.add_argument("--epsilon-theta", type=_count)
     p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code; raises no ``SystemExit``."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after a rejected flag, 0 after --help
+        return exc.code
     try:
         return args.func(args)
-    except (ScenarioParseError, ScenarioValidationError, PlanFormatError,
-            OracleBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (NoFeasiblePlanError, BudgetInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -8,7 +8,7 @@ rules let downstream formulations reuse the frontier without re-solving:
 strictly-increasing coordinate maps transform it pointwise, strongly
 increasing utilities select from it, and budget constraints filter it.
 The rules take a :class:`ParetoFrontier` or any sequence of its points,
-such as the plan-less points the CLI reads back from a frontier CSV.
+such as the plan-less points :func:`read_frontier_csv` reads back.
 """
 
 from __future__ import annotations
@@ -20,14 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelProfile
-from .errors import BudgetInfeasibleError, MonotonicityError, NoFeasiblePlanError
+from .errors import (
+    BudgetInfeasibleError,
+    MonotonicityError,
+    NoFeasiblePlanError,
+    PlanFormatError,
+)
 from .scenario import Scenario, energy_to_dbm
 from .timing import SamplingPlan, build_graph, shortest_path
 
 __all__ = [
     "FrontierPoint", "ParetoFrontier", "compute_frontier",
     "transform_frontier", "scalarize_select", "budget_select",
-    "weighted_lp_utility", "export_frontier_csv",
+    "weighted_lp_utility", "export_frontier_csv", "read_frontier_csv",
 ]
 
 _EQUALITY_REL_TOL = 1e-9  # saturation detection on real-valued energies
@@ -54,12 +59,6 @@ class ParetoFrontier:
         for a, b in zip(energies, energies[1:]):
             if not b < a * (1.0 - _EQUALITY_REL_TOL):
                 raise ValueError("frontier energies must be strictly decreasing")
-        # strictly decreasing in one coordinate while increasing in the
-        # other already rules out dominated points; audit anyway
-        for i, p in enumerate(self.points):
-            for q in self.points[i + 1:]:
-                if q.load_cap <= p.load_cap and q.energy <= p.energy:
-                    raise ValueError("frontier contains a dominated point")
         if not self.points:
             raise ValueError("frontier cannot be empty")
         if self.theta_lo != self.points[0].load_cap or self.theta_hi != self.points[-1].load_cap:
@@ -205,3 +204,32 @@ def export_frontier_csv(frontier: ParetoFrontier, path, scenario: Scenario) -> N
                 len(p.plan.instants),
                 ";".join(str(t) for t in p.plan.instants),
             ])
+
+
+def read_frontier_csv(path) -> list:
+    """Frontier points of an exported frontier CSV, without their plans.
+
+    Each row needs a load cap >= 1 and a finite energy >= 0; raises
+    :class:`PlanFormatError` otherwise.
+    """
+    points = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = sorted({"epsilon_theta", "energy_linear"} - set(reader.fieldnames or ()))
+        if missing:
+            raise PlanFormatError(f"frontier file {path} has no column {', '.join(missing)}")
+        for row in reader:
+            try:
+                cap, energy = int(row["epsilon_theta"]), float(row["energy_linear"])
+                ok = cap >= 1 and 0.0 <= energy < math.inf
+            except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                ok = False
+            if not ok:
+                raise PlanFormatError(
+                    f"frontier file {path} line {reader.line_num}: epsilon_theta "
+                    f"{row['epsilon_theta']!r} or energy_linear {row['energy_linear']!r} "
+                    f"is not a load cap >= 1 and a finite energy >= 0")
+            points.append(FrontierPoint(load_cap=cap, energy=energy, plan=None))
+    if not points:
+        raise PlanFormatError(f"frontier file {path} has no rows")
+    return points

@@ -84,42 +84,42 @@ class Scenario:
         return np.asarray(self.bs_positions, dtype=float)
 
 
+# numeric field -> (integer?, least value, least value excluded?); every
+# numeric field must be a finite int or float, and never a bool
+_NUMERIC_FIELDS = {
+    "horizon_T": (True, 1, False), "num_bs_N": (True, 1, False),
+    "num_rb_K": (True, 1, False), "aoi_bound_tau": (True, 1, False),
+    "master_seed": (True, 0, False),
+    "payload_threshold_vbar": (False, 0, True), "power_budget_pbar": (False, 0, True),
+    "noise_power_delta2": (False, 0, True), "slot_duration": (False, 0, True),
+    "carrier_freq_ghz": (False, 0, True),
+    "shadowing_sigma_db": (False, 0, False), "shadowing_corr_dist_m": (False, 0, False),
+}
+
+
 def _collect_violations(s: Scenario) -> list:
-    v = []
-    if not (isinstance(s.horizon_T, int) and s.horizon_T >= 1):
-        v.append(f"horizon_T must be an integer >= 1, got {s.horizon_T!r}")
-    if not (isinstance(s.num_bs_N, int) and s.num_bs_N >= 1):
-        v.append(f"num_bs_N must be an integer >= 1, got {s.num_bs_N!r}")
-    if not (isinstance(s.num_rb_K, int) and s.num_rb_K >= 1):
-        v.append(f"num_rb_K must be an integer >= 1, got {s.num_rb_K!r}")
-    if not (isinstance(s.aoi_bound_tau, int) and 1 <= s.aoi_bound_tau):
-        v.append(f"aoi_bound_tau must be an integer >= 1, got {s.aoi_bound_tau!r}")
-    elif isinstance(s.horizon_T, int) and s.horizon_T >= 1 and s.aoi_bound_tau > s.horizon_T:
+    v, bad = [], set()
+    for name, (integer, least, excluded) in _NUMERIC_FIELDS.items():
+        x = getattr(s, name)
+        typed = isinstance(x, int if integer else (int, float)) and not isinstance(x, bool)
+        if not (typed and (least < x if excluded else least <= x) and x < math.inf):
+            bad.add(name)
+            v.append(f"{name} must be {'an integer' if integer else 'a finite number'} "
+                     f"{'>' if excluded else '>='} {least}, got {x!r}")
+    if not {"horizon_T", "aoi_bound_tau"} & bad and s.aoi_bound_tau > s.horizon_T:
         v.append(
             f"aoi_bound_tau must not exceed horizon_T "
             f"({s.aoi_bound_tau} > {s.horizon_T})"
         )
-    if not s.payload_threshold_vbar > 0.0:
-        v.append(f"payload_threshold_vbar must be > 0, got {s.payload_threshold_vbar!r}")
-    if not 0.0 < s.power_budget_pbar < math.inf:
-        v.append(f"power_budget_pbar must be a finite number > 0, got {s.power_budget_pbar!r}")
-    if not s.noise_power_delta2 > 0.0:
-        v.append(f"noise_power_delta2 must be > 0, got {s.noise_power_delta2!r}")
-    if not s.slot_duration > 0.0:
-        v.append(f"slot_duration must be > 0, got {s.slot_duration!r}")
-    if not s.carrier_freq_ghz > 0.0:
-        v.append(f"carrier_freq_ghz must be > 0, got {s.carrier_freq_ghz!r}")
-    if s.shadowing_sigma_db < 0.0:
-        v.append(f"shadowing_sigma_db must be >= 0, got {s.shadowing_sigma_db!r}")
-    if s.shadowing_corr_dist_m < 0.0:
-        v.append(f"shadowing_corr_dist_m must be >= 0, got {s.shadowing_corr_dist_m!r}")
+    if not isinstance(s.kappa_per_slot, bool):
+        v.append(f"kappa_per_slot must be true or false, got {s.kappa_per_slot!r}")
 
-    if isinstance(s.horizon_T, int) and len(s.uav_trajectory) != s.horizon_T:
+    if "horizon_T" not in bad and len(s.uav_trajectory) != s.horizon_T:
         v.append(
             f"uav_trajectory length {len(s.uav_trajectory)} does not match "
             f"horizon_T {s.horizon_T}"
         )
-    if isinstance(s.num_bs_N, int) and len(s.bs_positions) != s.num_bs_N:
+    if "num_bs_N" not in bad and len(s.bs_positions) != s.num_bs_N:
         v.append(
             f"bs_positions length {len(s.bs_positions)} does not match "
             f"num_bs_N {s.num_bs_N}"
@@ -137,10 +137,8 @@ def _collect_violations(s: Scenario) -> list:
         lo, hi = s.kappa_range
         if not lo >= KAPPA_FLOOR:
             v.append(f"kappa_range low must be >= {KAPPA_FLOOR}, got {lo!r}")
-        if not hi >= lo:
-            v.append(f"kappa_range high must be >= low, got {s.kappa_range!r}")
-    if not isinstance(s.master_seed, int):
-        v.append(f"master_seed must be an integer, got {s.master_seed!r}")
+        if not lo <= hi < math.inf:
+            v.append(f"kappa_range high must be finite and >= low, got {s.kappa_range!r}")
     return v
 
 

@@ -47,9 +47,6 @@ class TimingGraph:
     def num_nodes(self) -> int:
         return self.horizon + 1
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 @dataclass
 class SamplingPlan:

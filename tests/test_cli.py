@@ -58,11 +58,18 @@ def test_generate_shapes_too_low_is_validation_error(tmp_path, capsys):
     assert "kappa_range" in capsys.readouterr().err
 
 
-def test_generate_validation_error_writes_nothing(tmp_path):
+def test_generate_validation_error_writes_nothing(tmp_path, capsys):
     scen = tmp_path / "s.json"
     save_scenario(desk_scenario(3, kappa_range=(1e-3, 1e-3)), scen)
     out = tmp_path / "out"
     assert main(["generate", "--scenario", str(scen), "--out", str(out)]) == 2
+    assert not out.exists()
+    save_scenario(desk_scenario(3), scen)
+    capsys.readouterr()
+    assert main(["generate", "--preset", "table1", "--scenario", str(scen),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--preset" in err and "--scenario" in err
     assert not out.exists()
 
 
@@ -82,6 +89,22 @@ def test_infinite_power_budget_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     assert main(["plan", "--scenario", str(scen), "--seed", "1", "--epsilon-theta", "2"]) == 2
     assert "power_budget_pbar" in capsys.readouterr().err
+
+
+def test_mistyped_scenario_fields_are_validation_errors(tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    save_scenario(desk_scenario(3), scen)
+    good = json.loads(scen.read_text())
+    for field, value in (("power_budget_pbar", "abc"), ("slot_duration", "1"),
+                         ("shadowing_sigma_db", None), ("num_rb_K", True),
+                         ("master_seed", -1), ("kappa_per_slot", "yes"),
+                         ("payload_threshold_vbar", float("nan")),
+                         ("kappa_range", [1.0, float("inf")])):
+        scen.write_text(json.dumps({**good, field: value}))
+        capsys.readouterr()
+        assert main(["generate", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2, field
+        assert field in capsys.readouterr().err, field
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- plan
@@ -489,6 +512,31 @@ def test_oracle_budget_gate(tmp_path):
 
 
 # ---------------------------------------------------------------- env seed
+
+def test_negative_seeds_are_rejected(tmp_path, desk_files, monkeypatch, capsys):
+    _, _, scen, profp = desk_files
+    inputs = ["--scenario", scen, "--profile", profp]
+    for argv in (["generate", "--scenario", scen, "--out", str(tmp_path / "g")],
+                 ["plan", *inputs, "--epsilon-theta", "2"],
+                 ["simulate", *inputs, "--policy", "periodic", "--replicas", "1"],
+                 ["bench", "--k-list", "4,8", "--repeats", "1"]):
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 2, argv
+        assert "--seed" in capsys.readouterr().err, argv
+    monkeypatch.setenv("MPCOMM_SEED", "-1")
+    for argv in (["generate", "--scenario", scen, "--out", str(tmp_path / "g")],
+                 ["plan", "--scenario", scen, "--epsilon-theta", "2"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "MPCOMM_SEED" in capsys.readouterr().err, argv
+    assert not (tmp_path / "g").exists()
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    assert main(["simulate", "--help"]) == 0
+    assert "--replicas" in capsys.readouterr().out
+    assert main(["simulate", "--replicas", "x"]) == 2
+
 
 def test_env_seed_fallback(tmp_path, desk_files, monkeypatch):
     _, _, scen, _ = desk_files

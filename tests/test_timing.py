@@ -25,7 +25,7 @@ def graph_from_weights(horizon, aoi_bound, weights):
 def test_edge_count_formula(small_scenario, small_profile):
     g = build_graph(small_scenario, small_profile, rb_cap=2)
     T, tau = small_scenario.horizon_T, small_scenario.aoi_bound_tau
-    assert g.edge_count() == sum(T + 1 - c for c in range(1, tau + 1))
+    assert len(g.edges) == sum(T + 1 - c for c in range(1, tau + 1))
     for (i, j) in g.edges:
         assert 1 <= j - i <= tau
         e = g.edges[(i, j)]
@@ -37,14 +37,14 @@ def test_full_bound_edge_count_is_triangular():
     s = desk_scenario(12, T=5, tau=5, vbar=1.0)
     prof = build_profile(s, 12)
     g = build_graph(s, prof, rb_cap=2)
-    assert g.edge_count() == 5 * 6 // 2
+    assert len(g.edges) == 5 * 6 // 2
 
 
 def test_unit_bound_graph_has_single_path():
     s = desk_scenario(13, T=5, tau=1, vbar=1.0)
     prof = build_profile(s, 13)
     g = build_graph(s, prof, rb_cap=2)
-    assert g.edge_count() == s.horizon_T
+    assert len(g.edges) == s.horizon_T
     plan = shortest_path(g)
     assert plan.instants == tuple(range(1, s.horizon_T + 1))
 
@@ -235,4 +235,4 @@ def test_graph_csv_export(tmp_path, small_scenario, small_profile):
     export_graph_csv(g, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "start,end,weight"
-    assert len(lines) == 1 + g.edge_count()
+    assert len(lines) == 1 + len(g.edges)
