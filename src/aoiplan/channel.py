@@ -18,9 +18,11 @@ the fading-averaged capacity and becomes tight at high SNR or high kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ScenarioValidationError
 from .scenario import Scenario
@@ -34,6 +36,7 @@ __all__ = [
     "capacity_lower_bound",
     "build_profile",
     "sample_fading",
+    "replica_generators",
     "save_profile",
     "load_profile",
 ]
@@ -145,9 +148,11 @@ class ChannelProfile:
     """Predicted channel along the trajectory.
 
     gain, shape, iota are (N, K, T) tensors; ``iota = noise / (beta * gain)``
-    is the per-entry water-filling floor.  Arrays are frozen (read-only)
-    after construction, so no solve or replica that shares a profile can
-    alter it for the others.
+    is the per-entry water-filling floor.  ``inv_shape = 1 / shape`` is
+    derived once at construction for :func:`sample_fading`; it takes no
+    part in equality or the repr and is not saved.  Arrays are frozen
+    (read-only) after construction, so no solve or replica that shares a
+    profile can alter it for the others.
     """
 
     gain: np.ndarray
@@ -155,6 +160,7 @@ class ChannelProfile:
     iota: np.ndarray
     noise_power: float
     seed: int | None = None
+    inv_shape: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gain", "shape", "iota"):
@@ -165,7 +171,8 @@ class ChannelProfile:
                 raise ValueError(f"{name} entries must be finite and > 0")
         if self.gain.shape != self.shape.shape or self.gain.shape != self.iota.shape:
             raise ValueError("gain, shape, iota dimensions disagree")
-        for name in ("gain", "shape", "iota"):
+        self.inv_shape = 1.0 / self.shape
+        for name in ("gain", "shape", "iota", "inv_shape"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -263,17 +270,130 @@ def build_profile(scenario: Scenario, seed: int) -> ChannelProfile:
 def sample_fading(profile: ChannelProfile, seed) -> np.ndarray:
     """Independent unit-mean Gamma fading per (BS, RB, slot) entry.
 
-    Draws from ``numpy.random.default_rng(seed)``, where ``seed`` is an int
-    or a sequence of ints, so one seed always gives the same array.  Draws
-    at small shapes can underflow to exactly 0, a deep fade.
+    Draws from ``numpy.random.default_rng(seed)``, where ``seed`` is an int,
+    a sequence of ints or a ``Generator`` (drawn from as it stands), so one
+    seed always gives the same array.  :func:`replica_generators` yields
+    replica r's generator, whose stream is ``default_rng([seed, r])``'s.
+    Draws at small shapes can underflow to exactly 0, a deep fade.
 
     The stream and bits are those of ``rng.gamma(shape, scale=1/shape)``:
     numpy computes that draw as ``scale * standard_gamma(shape)`` entry by
-    entry, so scaling the standard draw afterwards gives the same array
-    with one argument check instead of two.
+    entry, so scaling the standard draw afterwards by the profile's
+    ``inv_shape`` gives the same array with one argument check instead of
+    two.
     """
     rng = np.random.default_rng(seed)
-    return rng.standard_gamma(profile.shape) * (1.0 / profile.shape)
+    return rng.standard_gamma(profile.shape) * profile.inv_shape
+
+
+# numpy.random.SeedSequence's entropy hash (numpy/random/bit_generator.pyx),
+# a documented stable stream: a pool of four uint32 words, hashed and mixed
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# replicas whose seed words are hashed in one pass
+_SEED_BATCH = 256
+
+
+def _uint32_words(n: int) -> list:
+    """SeedSequence's entropy words of a non-negative int: its 32-bit
+    words, least significant first, and one word for 0."""
+    return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _pcg64_seed_words(entropy: list) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
+    the entropy matrix whose columns (equal-length uint32 arrays) are
+    ``entropy``; returns an (R, 4) uint64 array.
+
+    The hash constants advance independently of the data, so one pass of
+    numpy's per-word steps over whole columns hashes every row at once;
+    uint32 array arithmetic wraps modulo 2**32 as the C code does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    hash_const = _INIT_B
+    state = np.empty((len(zero), 8), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    # pairs of uint32 words, low word first, make each uint64 word
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands a bit generator its precomputed seed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seeded(seed: int, start: int, stop: int):
+    """Unchecked generators of :func:`replica_generators`."""
+    seed_words = _uint32_words(seed)
+    first = start
+    while first < stop:
+        # replicas of one pass have the same number of entropy words
+        width = len(_uint32_words(first))
+        last = min(stop, first + _SEED_BATCH, 1 << (32 * width))
+        reps = np.arange(first, last, dtype=object)  # Python ints: indices of any size
+        entropy = [np.full(last - first, w, dtype=np.uint32) for w in seed_words]
+        entropy += [(reps >> s & _MASK32).astype(np.uint32) for s in range(0, 32 * width, 32)]
+        for words in _pcg64_seed_words(entropy):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        first = last
+
+
+def replica_generators(seed: int, start: int, stop: int):
+    """Yield replica r's generator for r in ``range(start, stop)``: the
+    stream of ``numpy.random.default_rng([seed, r])``.
+
+    Instead of one ``SeedSequence`` per replica, the entropy hash runs once
+    per pass of up to 256 replicas over numpy uint32 arrays, and numpy's
+    own PCG64 seeding takes each replica's four words.  The first
+    generator's state is checked against ``default_rng([seed, start])``,
+    which also rejects a seed numpy would reject; a mismatch raises
+    ``RuntimeError``.
+    """
+    gens = _seeded(operator.index(seed), operator.index(start), operator.index(stop))
+    first = next(gens, None)
+    if first is None:
+        return
+    if first.bit_generator.state != np.random.default_rng([seed, start]).bit_generator.state:
+        raise RuntimeError(f"replica generator for [{seed}, {start}] differs from "
+                           "numpy.random.default_rng's: the vectorised SeedSequence "
+                           "hash no longer matches numpy's")
+    yield first
+    yield from gens
 
 
 # ----------------------------------------------------------------------

@@ -80,6 +80,7 @@ _count = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _margin = _checked(float, lambda x: 1.0 <= x < math.inf, "a finite number >= 1")
 _finite = _checked(float, math.isfinite, "a finite number")
+_number = _checked(float, lambda x: not math.isnan(x), "a number other than NaN")
 _k_list = _checked(lambda text: [int(k) for k in text.split(",")],
                    lambda ks: len(set(ks)) >= 2 and min(ks) >= 1,
                    "at least two distinct positive integers")
@@ -399,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=1.0, help="Lp exponent >= 1")
     p.add_argument("--theta-target", type=_finite, default=0.0)
     p.add_argument("--energy-target", type=_finite, default=0.0)
-    p.add_argument("--budget", type=float, help="switch to budget mode: max g1(load)")
+    p.add_argument("--budget", type=_number, help="switch to budget mode: max g1(load)")
     p.add_argument("--g1", type=_parse_g, default="identity", help="load map for budget mode")
     p.set_defaults(func=cmd_select)
 

@@ -97,6 +97,10 @@ _NUMERIC_FIELDS = {
 }
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _collect_violations(s: Scenario) -> list:
     v, bad = [], set()
     for name, (integer, least, excluded) in _NUMERIC_FIELDS.items():
@@ -128,6 +132,8 @@ def _collect_violations(s: Scenario) -> list:
         for i, p in enumerate(pts):
             if len(p) != 3:
                 v.append(f"{name}[{i}] must be an (x, y, z) triple, got {p!r}")
+            elif not all(_is_finite_number(c) for c in p):
+                v.append(f"{name}[{i}] coordinates must be finite numbers, got {p!r}")
             elif p[2] < 0.0:
                 v.append(f"{name}[{i}] altitude must be >= 0, got {p[2]!r}")
 

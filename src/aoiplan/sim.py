@@ -10,7 +10,10 @@ and delivering on time.
 
 A call runs its replicas in batches of :data:`BATCH`.  Python loops over
 replicas only to draw each one's fading over the full (N, K, T) tensor
-(the documented stream, one draw held at a time); the payload is summed
+(the documented stream, one draw held at a time).  Replica r's generator
+has the stream of ``numpy.random.default_rng([seed, r])``, but
+``channel.replica_generators`` seeds a whole batch of them with one
+vectorised pass of numpy's SeedSequence hash.  The payload is summed
 over the plan's support only, into a (replicas, T) matrix, and the
 delivery rule and the age recursion run over a whole batch at once.
 Every bit equals the per-replica full-tensor computation: the support
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelProfile, capacity_lower_bound, sample_fading
+from .channel import ChannelProfile, capacity_lower_bound, replica_generators, sample_fading
 from .inner import Infeasible, IntervalSpec, solve_interval
 from .numeric import seq_sum
 from .scenario import Scenario
@@ -320,9 +323,11 @@ def simulate(plan: PolicyPlan, profile: ChannelProfile, replicas: int, seed: int
              keep_traces: bool = False) -> SimReport:
     """Monte Carlo the realized delivery process of a plan.
 
-    Replica r draws its fading with ``sample_fading(profile, [seed, r])``
-    over the full (N, K, T) tensor, so replicas are reproducible and do
-    not depend on how many run in one call.  The replicas run in batches
+    Replica r draws its fading with ``sample_fading`` over the full
+    (N, K, T) tensor from the generator :func:`channel.replica_generators`
+    yields for it, whose stream is ``default_rng([seed, r])``'s, so
+    replicas are reproducible and do not depend on how many run in one
+    call.  The replicas run in batches
     of up to :data:`BATCH`: each draw is reduced at once to its row of the
     batch's (batch, T) payload matrix, summed over the plan's assigned
     entries, and one delivery loop and one age recursion then cover every
@@ -339,11 +344,12 @@ def simulate(plan: PolicyPlan, profile: ChannelProfile, replicas: int, seed: int
     power_gain = (plan.full_power() * profile.gain).take(support)
     peaks = np.empty(replicas, dtype=np.int64)
     traces = []
+    rngs = replica_generators(seed, 0, replicas)
     for first in range(0, replicas, BATCH):
         batch = range(first, min(first + BATCH, replicas))
         payload = np.empty((len(batch), T))
-        for row, rep in enumerate(batch):
-            xi = sample_fading(profile, [seed, rep])
+        for row in range(len(batch)):
+            xi = sample_fading(profile, next(rngs))
             rate = np.log2(1.0 + power_gain * xi.take(support) / profile.noise_power)
             payload[row] = np.bincount(slot, weights=rate, minlength=T)
         age, success, cum = _success_traces(plan, payload)

@@ -13,6 +13,7 @@ from aoiplan.channel import (
     load_profile,
     los_probability,
     pathloss_db,
+    replica_generators,
     sample_fading,
     save_profile,
     _correlated_shadowing,
@@ -239,6 +240,30 @@ def test_fading_deterministic(small_profile):
     assert not np.array_equal(a, sample_fading(small_profile, [8, 2]))
 
 
+def test_fading_draws_from_a_generator_as_it_stands(small_profile):
+    assert np.array_equal(sample_fading(small_profile, np.random.default_rng([8, 2])),
+                          sample_fading(small_profile, [8, 2]))
+    assert np.array_equal(small_profile.inv_shape, 1.0 / small_profile.shape)
+    assert not small_profile.inv_shape.flags.writeable
+    assert "inv_shape" not in repr(small_profile)
+
+
+def test_replica_generators_give_default_rng_streams():
+    # seeds of one to three entropy words, replica indices of one or two;
+    # the first range crosses a hashing pass (256 replicas), the second 2**32
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**70 + 5):
+        for start, stop in ((0, 260), (2**32 - 3, 2**32 + 3)):
+            gens = list(replica_generators(seed, start, stop))
+            assert len(gens) == stop - start
+            for r, gen in zip(range(start, stop), gens):
+                ref = np.random.default_rng([seed, r])
+                assert gen.bit_generator.state == ref.bit_generator.state, (seed, r)
+                assert np.array_equal(gen.standard_gamma(2.0, 3), ref.standard_gamma(2.0, 3))
+    assert list(replica_generators(1, 5, 5)) == []
+    with pytest.raises(ValueError):
+        next(replica_generators(-1, 0, 2))
+
+
 def test_fading_low_shape_draws_may_be_zero():
     # Gamma draws at shapes near the floor underflow to exactly 0: a valid
     # deep fade, not an error
@@ -269,6 +294,8 @@ def test_profile_roundtrip_bit_exact(tmp_path, small_profile):
     assert np.array_equal(back.iota, small_profile.iota)
     assert back.noise_power == small_profile.noise_power
     assert back.seed == small_profile.seed
+    with np.load(path) as data:
+        assert sorted(data.files) == ["dims", "gain", "iota", "noise_power", "seed", "shape"]
 
 
 def test_profile_rejects_bad_tensors():

@@ -414,6 +414,17 @@ def test_select_rejects_unusable_preferences(tmp_path, capsys):
     assert f"epsilon_theta {want.load_cap}," in capsys.readouterr().out
 
 
+def test_select_budget_rejects_nan_and_takes_infinity(tmp_path, capsys):
+    fcsv = _frontier_csv(tmp_path / "f.csv", ["2,0.8,0,1,1", "3,0.6,0,1,1"])
+    for frontier in (fcsv, str(tmp_path / "missing.csv")):  # rejected before the file opens
+        capsys.readouterr()
+        assert main(["select", "--frontier", frontier, "--budget", "nan"]) == 2
+        assert "--budget" in capsys.readouterr().err
+    # an unbounded budget still selects the last point
+    assert main(["select", "--frontier", fcsv, "--budget", "inf"]) == 0
+    assert "epsilon_theta 3," in capsys.readouterr().out
+
+
 def test_transform_and_select_reject_malformed_inputs(tmp_path, capsys):
     good = _frontier_csv(tmp_path / "f.csv", ["2,0.8,0,1,1", "3,0.6,0,1,1"])
     out = str(tmp_path / "t.csv")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from aoiplan.cli import main
 from aoiplan.errors import ScenarioParseError, ScenarioValidationError
 from aoiplan.scenario import (
     Scenario,
@@ -128,6 +129,27 @@ def test_negative_altitude_rejected():
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(json.dumps(doc))
     assert "altitude" in str(err.value)
+
+
+def test_coordinates_must_be_finite_numbers(tmp_path, capsys):
+    # before this check a NaN x passed validation and build_profile blamed kappa_range
+    s = desk_scenario(2)
+    scen = tmp_path / "s.json"
+    for key, i, axis, value in (("bs_positions", 1, 0, math.nan),
+                                ("uav_trajectory", 3, 1, math.inf),
+                                ("uav_trajectory", 0, 2, -math.inf)):
+        doc = scenario_to_dict(s)
+        doc[key][i][axis] = value  # written as the JSON tokens NaN / Infinity
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert [f"{key}[{i}] coordinates" in m for m in err.value.violations] == [True]
+        scen.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["generate", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert f"{key}[{i}] coordinates must be finite numbers" in capsys.readouterr().err
+    with pytest.raises(ScenarioValidationError) as err:
+        Scenario(**{**vars(s), "bs_positions": ((0.0, "1", 0.0), (1.0, 2.0, 0.0))})
+    assert "bs_positions[0] coordinates must be finite numbers" in str(err.value)
 
 
 def test_kappa_floor_enforced():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import aoiplan.channel
 import aoiplan.sim
 from aoiplan import build_profile
 from aoiplan.channel import sample_fading
@@ -235,18 +236,29 @@ def test_simulate_draws_fading_through_sample_fading(feasible_setup, monkeypatch
     plan = baseline_periodic(s, prof, rb_cap=2)
     drawn = []
 
-    def spy(profile, seed):
-        xi = sample_fading(profile, seed)
-        drawn.append((list(seed), xi))
+    def spy(profile, rng):
+        # replica r's generator, before its draw, is default_rng([11, r])'s
+        state = rng.bit_generator.state
+        xi = sample_fading(profile, rng)
+        drawn.append((state, xi))
         return xi
 
     monkeypatch.setattr(aoiplan.sim, "sample_fading", spy)
     report = simulate(plan, prof, replicas=4, seed=11, keep_traces=True)
-    assert [seed for seed, _ in drawn] == [[11, r] for r in range(4)]
+    assert [state for state, _ in drawn] == [np.random.default_rng([11, r]).bit_generator.state
+                                             for r in range(4)]
     for r, (trace, (_, xi)) in enumerate(zip(report.traces, drawn)):
         assert np.array_equal(xi, sample_fading(prof, [11, r]))
         _, _, cum = _reference_trace(plan, _reference_payload(plan, prof, xi))
         assert trace.cum_payload.tolist() == cum
+
+
+def test_simulate_refuses_replica_streams_that_differ_from_numpy(feasible_setup, monkeypatch):
+    s, prof = feasible_setup
+    plan = baseline_periodic(s, prof, rb_cap=2)
+    monkeypatch.setattr(aoiplan.channel, "_MULT_B", aoiplan.channel._MULT_B ^ 1)
+    with pytest.raises(RuntimeError, match="default_rng"):
+        simulate(plan, prof, replicas=3, seed=11)
 
 
 def test_infeasible_baseline_legs_have_full_shapes(feasible_setup):
