@@ -272,7 +272,7 @@ def sample_fading(profile: ChannelProfile, seed) -> np.ndarray:
 
     Draws from ``numpy.random.default_rng(seed)``, where ``seed`` is an int,
     a sequence of ints or a ``Generator`` (drawn from as it stands), so one
-    seed always gives the same array.  :func:`replica_generators` yields
+    seed always gives the same array.  :func:`replica_generators` builds
     replica r's generator, whose stream is ``default_rng([seed, r])``'s.
     Draws at small shapes can underflow to exactly 0, a deep fade.
 
@@ -294,8 +294,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-# replicas whose seed words are hashed in one pass
-_SEED_BATCH = 256
 
 
 def _uint32_words(n: int) -> list:
@@ -357,43 +355,39 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _seeded(seed: int, start: int, stop: int):
-    """Unchecked generators of :func:`replica_generators`."""
+def replica_generators(seed: int, start: int, stop: int) -> list:
+    """Replica r's generator for r in ``range(start, stop)``: the stream of
+    ``numpy.random.default_rng([seed, r])``.
+
+    Instead of one ``SeedSequence`` per replica, the entropy hash runs in
+    one pass over numpy uint32 arrays (split only where the replica index
+    gains an entropy word), and numpy's own PCG64 seeding takes each
+    replica's four words.  The first generator's state is checked against
+    ``default_rng([seed, start])``, which also rejects a seed numpy would
+    reject; a mismatch raises ``RuntimeError``.
+    """
+    seed, start, stop = operator.index(seed), operator.index(start), operator.index(stop)
+    if start >= stop:
+        return []
+    ref = np.random.default_rng([seed, start])
     seed_words = _uint32_words(seed)
+    gens = []
     first = start
     while first < stop:
         # replicas of one pass have the same number of entropy words
         width = len(_uint32_words(first))
-        last = min(stop, first + _SEED_BATCH, 1 << (32 * width))
+        last = min(stop, 1 << (32 * width))
         reps = np.arange(first, last, dtype=object)  # Python ints: indices of any size
         entropy = [np.full(last - first, w, dtype=np.uint32) for w in seed_words]
         entropy += [(reps >> s & _MASK32).astype(np.uint32) for s in range(0, 32 * width, 32)]
-        for words in _pcg64_seed_words(entropy):
-            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        gens += [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+                 for words in _pcg64_seed_words(entropy)]
         first = last
-
-
-def replica_generators(seed: int, start: int, stop: int):
-    """Yield replica r's generator for r in ``range(start, stop)``: the
-    stream of ``numpy.random.default_rng([seed, r])``.
-
-    Instead of one ``SeedSequence`` per replica, the entropy hash runs once
-    per pass of up to 256 replicas over numpy uint32 arrays, and numpy's
-    own PCG64 seeding takes each replica's four words.  The first
-    generator's state is checked against ``default_rng([seed, start])``,
-    which also rejects a seed numpy would reject; a mismatch raises
-    ``RuntimeError``.
-    """
-    gens = _seeded(operator.index(seed), operator.index(start), operator.index(stop))
-    first = next(gens, None)
-    if first is None:
-        return
-    if first.bit_generator.state != np.random.default_rng([seed, start]).bit_generator.state:
+    if gens[0].bit_generator.state != ref.bit_generator.state:
         raise RuntimeError(f"replica generator for [{seed}, {start}] differs from "
                            "numpy.random.default_rng's: the vectorised SeedSequence "
                            "hash no longer matches numpy's")
-    yield first
-    yield from gens
+    return gens
 
 
 # ----------------------------------------------------------------------

@@ -61,17 +61,22 @@ any other gap splits into two unchecked ones.  Inside the cap bisection
 the bracket ends are always adjacent recorded levels, so the bracket is
 certified once both ends hold the same selection.
 
-The curve also bounds the kernel rate at levels it was not asked.  The
-global-level bisection decides ``sum_t rate_t(mu) >= target`` from those
-bounds where it can.  Sequential float addition is monotone in every
-term, so when the summed lower bounds reach the target, or the summed
-upper bounds miss it, the exact sum decides the same way; otherwise the
-slot with the widest bound is asked and the sums retried.  Every
-decision, and hence every output bit, equals that of solving every slot
-at every probe.  :meth:`SlotCurve.bounds` has three cases: an exact hit
-gives the recorded rate; a level inside a certified piece gives the
-closed-form bracket below, which is tight to rounding; any other level
-gives the secant bounds further below.
+The curve also bounds the kernel rate at levels it was not asked.  Both
+water-level bisections decide ``sum_t rate_t(mu) >= target`` with
+:func:`_reaches`, over slots that answer ``bracket(mu)`` and
+``rate(mu)`` and apply their own cap level: a :class:`SlotCurve` in the
+global-level bisection, and in the binary re-solve a
+:class:`_FrozenSupport`, whose float rate is numpy's sum of
+``log2(level / iota)`` over the floors below its capped level and whose
+bracket is the closed form below.  Sequential float addition is monotone
+in every term, so when the summed lower ends reach the target, or the
+summed upper ends miss it, the exact sum decides the same way; otherwise
+the slot with the widest bracket is asked for its rate and the sums
+retried.  Every decision, and hence every output bit, equals that of
+computing every slot's rate at every probe.  :meth:`SlotCurve.bounds`
+has three cases: an exact hit gives the recorded rate; a level inside a
+certified piece gives the closed-form bracket below, which is tight to
+rounding; any other level gives the secant bounds further below.
 
 Closed-form brackets.  For a fixed selection the float rate at a level
 lam is ``s = sum_S fl(log2(fl(lam / iota_i)))`` over the m selected
@@ -108,14 +113,10 @@ To first order in u these total ``((4 * LOG2_ULPS + 3) * u +
 2 * gamma_{m-1}) * B + 1.5mu``, so the band
 ``u * ((3m + 4 * LOG2_ULPS + 8) * B + 2m)`` covers them with room for the
 band's own rounding for any m below 2**40.  The summation term grows
-with m, so no constant relative band would do for large selections.  The
-same bracket decides the binary re-solve on frozen supports
-(:class:`_FrozenSupports`), whose per-slot float rate is the same sum
-over the floors below each slot's capped level: each bisection step adds
-the slots' brackets and computes the float rate only when they straddle
-the target.  A certified piece keeps its selection, so its bracket
-vouches for the rate a query there would price; its floors, sorted, and
-their prefix sums are kept once per stored selection object.
+with m, so no constant relative band would do for large selections.  A
+certified piece keeps its selection, so its bracket vouches for the rate
+a query there would price; its floors, sorted, and their prefix sums are
+kept once per stored selection object.
 
 Secant bounds.  Outside certified pieces the curve still bounds the rate
 from its nearest recorded levels.  These bounds stay because they still
@@ -486,6 +487,20 @@ class SlotCurve:
             hi = r + (own + self._slack(s)) / (s - level) + CURVE_EPS * (1.0 + r)
         return lo, hi
 
+    def bracket(self, mu: float) -> tuple:
+        """Bounds on :meth:`rate` at global level ``mu``."""
+        cap = self.slot_cap
+        if mu >= cap.level:
+            return cap.rate_at_cap, cap.rate_at_cap
+        return self.bounds(mu)
+
+    def rate(self, mu: float) -> float:
+        """Kernel rate at global level ``mu`` below the cap level, else the cap rate."""
+        cap = self.slot_cap
+        if mu >= cap.level:
+            return cap.rate_at_cap
+        return self.state(mu)[2]
+
 
 @dataclass
 class _SlotCap:
@@ -523,28 +538,27 @@ def slot_curves(iota3d: np.ndarray, cap: int, power_cap: float) -> list:
     return [solve_slot_cap(iota3d[:, :, t], cap, power_cap) for t in range(iota3d.shape[2])]
 
 
-def _rate_reaches(slots, mu: float, vbar: float) -> bool:
-    """Whether the slots' summed kernel rate at ``mu`` reaches ``vbar``.
+def _reaches(slots, mu: float, target: float) -> bool:
+    """Whether the slots' summed float rate at ``mu`` reaches ``target``.
 
-    Saturated slots contribute their cap rate; the others are bounded from
-    their curves and asked, widest bound first, only until the summed
-    bounds settle the comparison.
+    Each slot is a :class:`SlotCurve` or a :class:`_FrozenSupport`.  Their
+    ``bracket(mu)`` ends are added left to right until the sums settle the
+    comparison; otherwise the slot with the widest bracket is asked for
+    its ``rate(mu)`` and the sums retried.
     """
-    lows, highs = [], []
-    for curve in slots:
-        if mu >= curve.slot_cap.level:
-            lo = hi = curve.slot_cap.rate_at_cap
-        else:
-            lo, hi = curve.bounds(mu)
-        lows.append(lo)
-        highs.append(hi)
+    brackets = [slot.bracket(mu) for slot in slots]
     while True:
-        if seq_sum(lows) >= vbar:
+        lo = hi = 0.0
+        for low, high in brackets:
+            lo += low
+            hi += high
+        if lo >= target:
             return True
-        if seq_sum(highs) < vbar:
+        if hi < target:
             return False
-        t = max(range(len(slots)), key=lambda s: highs[s] - lows[s])
-        lows[t] = highs[t] = slots[t].state(mu)[2]
+        t = max(range(len(slots)), key=lambda s: brackets[s][1] - brackets[s][0])
+        rate = slots[t].rate(mu)
+        brackets[t] = (rate, rate)
 
 
 # ----------------------------------------------------------------------
@@ -563,46 +577,25 @@ def _support_cap_level(iotas: np.ndarray, power_cap: float) -> float:
     return float((power_cap + prefix[-1]) / len(s))
 
 
-class _FrozenSupports:
-    """Capped water-filling over frozen per-slot supports: each slot's
-    :class:`_SupportLogs`, its sorted floors and its cap level."""
+class _FrozenSupport:
+    """Capped water-filling over one slot's frozen support: its floors'
+    :class:`_SupportLogs` and the level where it spends the budget."""
 
-    def __init__(self, supports, iota3d: np.ndarray, power_cap: float):
-        self.logs = [_SupportLogs(iota3d[:, :, t][sup]) for t, sup in enumerate(supports)]
-        self.floors = [logs.floors for logs in self.logs]
-        self.cap_levels = np.array([_support_cap_level(v, power_cap) if v.size else 0.0
-                                    for v in self.floors])
-        self._caps = self.cap_levels.tolist()
+    def __init__(self, iotas: np.ndarray, power_cap: float):
+        self.logs = _SupportLogs(iotas)
+        self.floors = self.logs.floors
+        self.cap_level = _support_cap_level(self.floors, power_cap) if iotas.size else 0.0
+
+    def bracket(self, mu: float) -> tuple:
+        """Closed-form bounds on :meth:`rate` at global level ``mu``."""
+        return self.logs.rate_bounds(min(mu, self.cap_level))
 
     def rate(self, mu: float) -> float:
-        """Float rate at global level ``mu``: each slot's ``log2(level /
-        iota)`` over its floors below its capped level, summed by numpy,
-        then added slot after slot."""
-        total = 0.0
-        for vals, cap_level in zip(self.floors, self.cap_levels):
-            lvl = min(mu, cap_level)
-            act = vals[vals < lvl]
-            if act.size:
-                total += float(np.log2(lvl / act).sum())
-        return total
-
-    def reaches(self, mu: float, target: float) -> bool:
-        """Whether ``rate(mu) >= target``, computing the rate only when
-        the slots' summed closed-form brackets straddle the target.
-
-        Sequential float addition is monotone in every term, so the
-        summed brackets bracket the summed float rates.
-        """
-        lo = hi = 0.0
-        for logs, cap_level in zip(self.logs, self._caps):
-            low, high = logs.rate_bounds(min(mu, cap_level))
-            lo += low
-            hi += high
-        if lo >= target:
-            return True
-        if hi < target:
-            return False
-        return self.rate(mu) >= target
+        """Float rate at global level ``mu``: ``log2(level / iota)`` over
+        the floors below the capped level, summed by numpy."""
+        lvl = min(mu, self.cap_level)
+        act = self.floors[self.floors < lvl]
+        return float(np.log2(lvl / act).sum()) if act.size else 0.0
 
 
 def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
@@ -610,30 +603,23 @@ def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
 
     Returns (slot_levels, energy, rate) or None when the supports cannot
     carry the target under the per-slot power caps.  The bisection
-    decides each step with :meth:`_FrozenSupports.reaches`; the returned
-    rate is always computed.
+    decides each step with :func:`_reaches`; the rate is the slots' float
+    rates added slot after slot.
     """
-    L = iota3d.shape[2]
-    frozen = _FrozenSupports(supports, iota3d, power_cap)
-    cap_levels = frozen.cap_levels
-    if rate_target <= 0.0:
-        return np.zeros(L), 0.0, 0.0
+    slots = [_FrozenSupport(iota3d[:, :, t][sup], power_cap) for t, sup in enumerate(supports)]
+    cap_levels = np.array([slot.cap_level for slot in slots])
     hi = float(cap_levels.max(initial=0.0))
     if hi <= 0.0:
         return None
-    max_rate = frozen.rate(hi)
-    if max_rate < rate_target * (1.0 - 1e-9):
+    if seq_sum(slot.rate(hi) for slot in slots) < rate_target * (1.0 - 1e-9):
         return None
-    lo = float(min(v[0] for v in frozen.floors if v.size))
+    lo = float(min(slot.floors[0] for slot in slots if slot.floors.size))
     # upper bracket end guarantees rate >= target
-    mu = _bisect(lo, hi, lambda mid: frozen.reaches(mid, rate_target))
+    mu = _bisect(lo, hi, lambda mid: _reaches(slots, mid, rate_target))
     levels = np.minimum(mu, cap_levels)
-    energy = 0.0
-    for t in range(L):
-        vals = frozen.floors[t]
-        if vals.size:
-            energy += float(np.maximum(0.0, levels[t] - vals).sum())
-    return levels, energy, frozen.rate(mu)
+    energy = seq_sum(float(np.maximum(0.0, level - slot.floors).sum())
+                     for level, slot in zip(levels, slots))
+    return levels, energy, seq_sum(slot.rate(mu) for slot in slots)
 
 
 def _zero_solution(N, K, L):
@@ -679,7 +665,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         return Infeasible(max_rate=max_rate)
 
     mu = _bisect(float(iota3d.min()), float(cap_levels.max()),
-                 lambda mid: _rate_reaches(slots, mid, vbar))
+                 lambda mid: _reaches(slots, mid, vbar))
 
     # one-sided limits per slot at the final levels
     limits, xi_max = [], np.ones(L)
@@ -715,8 +701,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
     # equal supports solve the same, and only a strictly lower energy
     # replaces the first, so the usual case of equal sides solves once
     candidates = [plus] if all(map(_same, plus, minus)) else [plus, minus]
-    best = None
-    best_supports = None
+    best = best_supports = None
     for supports in candidates:
         sol = _fixed_support_solve(supports, iota3d, vbar, spec.power_cap)
         if sol is not None and (best is None or sol[1] < best[1]):

@@ -325,13 +325,13 @@ def simulate(plan: PolicyPlan, profile: ChannelProfile, replicas: int, seed: int
 
     Replica r draws its fading with ``sample_fading`` over the full
     (N, K, T) tensor from the generator :func:`channel.replica_generators`
-    yields for it, whose stream is ``default_rng([seed, r])``'s, so
+    builds for it, whose stream is ``default_rng([seed, r])``'s, so
     replicas are reproducible and do not depend on how many run in one
-    call.  The replicas run in batches
-    of up to :data:`BATCH`: each draw is reduced at once to its row of the
-    batch's (batch, T) payload matrix, summed over the plan's assigned
-    entries, and one delivery loop and one age recursion then cover every
-    row.  The plan must have the profile's (N, K, T).
+    call.  The replicas run in batches of up to :data:`BATCH`, whose
+    generators are built in one call: each draw is reduced at once to its
+    row of the batch's (batch, T) payload matrix, summed over the plan's
+    assigned entries, and one delivery loop and one age recursion then
+    cover every row.  The plan must have the profile's (N, K, T).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -344,16 +344,15 @@ def simulate(plan: PolicyPlan, profile: ChannelProfile, replicas: int, seed: int
     power_gain = (plan.full_power() * profile.gain).take(support)
     peaks = np.empty(replicas, dtype=np.int64)
     traces = []
-    rngs = replica_generators(seed, 0, replicas)
     for first in range(0, replicas, BATCH):
-        batch = range(first, min(first + BATCH, replicas))
-        payload = np.empty((len(batch), T))
-        for row in range(len(batch)):
-            xi = sample_fading(profile, next(rngs))
+        rngs = replica_generators(seed, first, min(first + BATCH, replicas))
+        payload = np.empty((len(rngs), T))
+        for row, rng in enumerate(rngs):
+            xi = sample_fading(profile, rng)
             rate = np.log2(1.0 + power_gain * xi.take(support) / profile.noise_power)
             payload[row] = np.bincount(slot, weights=rate, minlength=T)
         age, success, cum = _success_traces(plan, payload)
-        peaks[batch.start:batch.stop] = age.max(axis=1)
+        peaks[first:first + len(rngs)] = age.max(axis=1)
         if keep_traces:
             traces += [AoiTrace(age=a, success=s, cum_payload=c, peak_age=int(a.max()))
                        for a, s, c in zip(age, success, cum)]

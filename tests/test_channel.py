@@ -250,18 +250,19 @@ def test_fading_draws_from_a_generator_as_it_stands(small_profile):
 
 def test_replica_generators_give_default_rng_streams():
     # seeds of one to three entropy words, replica indices of one or two;
-    # the first range crosses a hashing pass (256 replicas), the second 2**32
+    # the first range is longer than a simulation batch (256 replicas), the
+    # second crosses 2**32, where the index gains a word and the hash splits
     for seed in (0, 1, 2**32 - 1, 2**32, 2**70 + 5):
         for start, stop in ((0, 260), (2**32 - 3, 2**32 + 3)):
-            gens = list(replica_generators(seed, start, stop))
+            gens = replica_generators(seed, start, stop)
             assert len(gens) == stop - start
             for r, gen in zip(range(start, stop), gens):
                 ref = np.random.default_rng([seed, r])
                 assert gen.bit_generator.state == ref.bit_generator.state, (seed, r)
                 assert np.array_equal(gen.standard_gamma(2.0, 3), ref.standard_gamma(2.0, 3))
-    assert list(replica_generators(1, 5, 5)) == []
+    assert replica_generators(1, 5, 5) == []
     with pytest.raises(ValueError):
-        next(replica_generators(-1, 0, 2))
+        replica_generators(-1, 0, 2)
 
 
 def test_fading_low_shape_draws_may_be_zero():

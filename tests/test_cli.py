@@ -10,7 +10,7 @@ from aoiplan import build_profile, pareto
 from aoiplan.channel import save_profile
 from aoiplan.cli import _build_parser, main
 from aoiplan.scenario import load_scenario, save_scenario, scenario_digest
-from aoiplan.timing import build_graph, shortest_path
+from aoiplan.timing import build_graph, export_graph_csv, shortest_path
 
 from conftest import desk_scenario
 
@@ -120,6 +120,16 @@ def test_plan_matches_library(tmp_path, desk_files, capsys):
     plan = shortest_path(graph)
     assert f"{plan.total_energy:.9g}" in printed
     assert out.exists()
+
+
+def test_plan_graph_csv_is_the_library_export(tmp_path, desk_files):
+    s, prof, scen, profp = desk_files
+    out = tmp_path / "graph.csv"
+    assert main(["plan", "--scenario", scen, "--profile", profp,
+                 "--epsilon-theta", "2", "--graph-csv", str(out)]) == 0
+    want = tmp_path / "want.csv"
+    export_graph_csv(build_graph(s, prof, 2), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_plan_with_a_huge_power_budget_succeeds_or_fails_typed(tmp_path):
@@ -502,6 +512,17 @@ def test_oracle_inner_subcommand(desk_files, capsys):
                "--start", "1", "--end", "3", "--epsilon-theta", "2"])
     assert rc == 0
     assert "oracle energy" in capsys.readouterr().out
+
+
+def test_oracle_plan_subcommand_agrees_with_the_solver(desk_files, capsys):
+    _, _, scen, profp = desk_files
+    rc = main(["oracle", "--scenario", scen, "--profile", profp, "--op", "plan",
+               "--epsilon-theta", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    oracle = out.split("oracle energy ")[1].split()[0]
+    solver = out.split("solver energy ")[1].split(";")[0]
+    assert oracle == solver, out
 
 
 def test_oracle_inner_rejects_intervals_off_the_horizon(desk_files, capsys):

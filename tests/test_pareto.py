@@ -5,6 +5,7 @@ import pytest
 from aoiplan import build_profile
 from aoiplan.errors import BudgetInfeasibleError, MonotonicityError, NoFeasiblePlanError
 from aoiplan.pareto import (
+    _EQUALITY_REL_TOL,
     FrontierPoint,
     ParetoFrontier,
     budget_select,
@@ -14,6 +15,7 @@ from aoiplan.pareto import (
     transform_frontier,
     weighted_lp_utility,
 )
+from aoiplan.timing import build_graph, shortest_path
 
 from conftest import desk_scenario
 
@@ -58,6 +60,18 @@ def test_frontier_plans_respect_their_caps(frontier_and_inputs):
     for point in fr:
         for sol in point.plan.solutions:
             assert sol.assignment.sum(axis=1).max(initial=0) <= point.load_cap
+
+
+def test_frontier_stops_at_the_first_cap_that_saturates():
+    """Cap 4's optimum is no strict improvement on cap 3's (it lies 2.6e-14
+    relative above it), so the sweep stops before the last cap."""
+    s = desk_scenario(14, T=6, N=2, K=4, tau=3, vbar=1.0, pbar_dbm=30.0)
+    prof = build_profile(s, 14)
+    fr = compute_frontier(s, prof)
+    assert fr.theta_lo == 1 and fr.theta_hi == 3 < s.num_rb_K
+    assert [round(p.energy, 5) for p in fr] == [0.10302, 0.09196, 0.09019]
+    beyond = shortest_path(build_graph(s, prof, 4)).total_energy
+    assert abs(beyond - fr.points[-1].energy) <= _EQUALITY_REL_TOL * fr.points[-1].energy
 
 
 def test_frontier_infeasible_raises():
