@@ -19,6 +19,7 @@ the fading-averaged capacity and becomes tight at high SNR or high kappa.
 from __future__ import annotations
 
 import operator
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,6 +172,8 @@ class ChannelProfile:
                 raise ValueError(f"{name} entries must be finite and > 0")
         if self.gain.shape != self.shape.shape or self.gain.shape != self.iota.shape:
             raise ValueError("gain, shape, iota dimensions disagree")
+        if not 0.0 < self.noise_power < np.inf:
+            raise ValueError(f"noise_power must be finite and > 0, got {self.noise_power}")
         self.inv_shape = 1.0 / self.shape
         for name in ("gain", "shape", "iota", "inv_shape"):
             getattr(self, name).setflags(write=False)
@@ -408,20 +411,24 @@ def save_profile(profile: ChannelProfile, path) -> None:
 
 
 def load_profile(path) -> ChannelProfile:
-    """Load a profile written by :func:`save_profile`."""
-    with np.load(path) as data:
-        dims = tuple(int(d) for d in data["dims"])
-        gain = data["gain"]
-        shape = data["shape"]
-        iota = data["iota"]
-        if gain.shape != dims:
-            raise ValueError(f"profile header dims {dims} disagree with tensor {gain.shape}")
-        seed = int(data["seed"])
-        prof = ChannelProfile(
-            gain=gain,
-            shape=shape,
-            iota=iota,
-            noise_power=float(data["noise_power"]),
-            seed=None if seed < 0 else seed,
-        )
-    return prof
+    """Load a profile written by :func:`save_profile`.
+
+    A file that is not such a profile raises :class:`ScenarioValidationError`
+    naming it; a missing or unreadable file raises ``OSError``.
+    """
+    try:
+        with np.load(path) as data:
+            dims = tuple(int(d) for d in data["dims"])
+            gain = data["gain"]
+            if gain.shape != dims:
+                raise ValueError(f"profile header dims {dims} disagree with tensor {gain.shape}")
+            seed = int(data["seed"])
+            return ChannelProfile(
+                gain=gain,
+                shape=data["shape"],
+                iota=data["iota"],
+                noise_power=float(data["noise_power"]),
+                seed=None if seed < 0 else seed,
+            )
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ScenarioValidationError([f"profile file {path} is malformed: {exc}"]) from exc

@@ -32,7 +32,7 @@ from .errors import (
     ScenarioValidationError,
 )
 from .inner import Infeasible, IntervalSpec, solve_interval
-from .oracle import OracleBudget, oracle_inner, oracle_plan
+from .oracle import check_plan, oracle_inner, oracle_plan
 from .scenario import (
     Scenario,
     default_patrol_scenario,
@@ -302,7 +302,6 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario, profile, _ = _load_inputs(args)
-    budget = OracleBudget()
     if args.op == "inner":
         if not 1 <= args.start < args.end <= scenario.horizon_T + 1:
             raise ScenarioValidationError(
@@ -313,7 +312,7 @@ def cmd_oracle(args) -> int:
                             rate_target=scenario.payload_threshold_vbar,
                             power_cap=scenario.power_budget_pbar)
         ours = solve_interval(spec, profile)
-        ref = oracle_inner(spec, profile, budget)
+        ref = oracle_inner(spec, profile)
         if isinstance(ref, Infeasible) or isinstance(ours, Infeasible):
             print(f"oracle: infeasible={isinstance(ref, Infeasible)} "
                   f"solver: infeasible={isinstance(ours, Infeasible)}")
@@ -321,14 +320,14 @@ def cmd_oracle(args) -> int:
         print(f"oracle energy {_fmt(ref)}, solver energy {_fmt(ours.energy)}")
     else:  # plan
         cap = args.epsilon_theta or scenario.num_rb_K
-        budget.check_plan(scenario.horizon_T, scenario.aoi_bound_tau)
+        check_plan(scenario.horizon_T, scenario.aoi_bound_tau)
         graph = build_graph(scenario, profile, cap)
 
         def weight(i, j):
             return graph.edges[(i, j)].weight
 
         instants, energy, count = oracle_plan(scenario.horizon_T,
-                                              scenario.aoi_bound_tau, weight, budget)
+                                              scenario.aoi_bound_tau, weight)
         plan = shortest_path(graph)
         print(f"oracle energy {_fmt(energy)} over {count} sequences, "
               f"solver energy {_fmt(plan.total_energy)}; "

@@ -231,7 +231,6 @@ class InnerSolution:
     energy: float
     binary_energy: float
     expected_rate: float     # binary plan rate, >= target
-    global_level: float      # uncapped global water level of the relaxed solve
     slot_levels: np.ndarray  # (L,)
     mix: np.ndarray          # (L,) mixing coefficients of the relaxed solve
 
@@ -629,7 +628,6 @@ def _zero_solution(N, K, L):
         energy=0.0,
         binary_energy=0.0,
         expected_rate=0.0,
-        global_level=0.0,
         slot_levels=np.zeros(L),
         mix=np.zeros(L),
     )
@@ -729,7 +727,6 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         energy=energy_mixed,
         binary_energy=float(binary_energy),
         expected_rate=float(binary_rate),
-        global_level=mu,
         slot_levels=levels,
         mix=mix,
     )

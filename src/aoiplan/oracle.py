@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,38 +24,34 @@ from .numeric import seq_sum
 
 LN2 = math.log(2.0)
 
-__all__ = ["OracleBudget", "oracle_matching", "oracle_inner", "oracle_plan",
-           "oracle_plan_from_profile", "mc_expected_capacity"]
+__all__ = ["check_matching", "check_inner", "check_plan", "oracle_matching",
+           "oracle_inner", "oracle_plan", "oracle_plan_from_profile",
+           "mc_expected_capacity"]
+
+# Size caps of the exhaustive searches, and the inner oracle's grid size.
+MAX_N = 3
+MAX_K = 4
+MAX_T = 12
+MAX_TAU = 4
+GRID_POINTS = 10_000
+MC_SAMPLES = 1_000_000
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_N: int = 3
-    max_K: int = 4
-    max_T: int = 12
-    max_tau: int = 4
-    grid_points: int = 10_000
-    mc_samples: int = 1_000_000
+def check_matching(N: int, K: int):
+    if N > MAX_N or K > MAX_K:
+        raise OracleBudgetError(f"matching oracle capped at {MAX_N}x{MAX_K}, got {N}x{K}")
 
-    def check_matching(self, N: int, K: int):
-        if N > self.max_N or K > self.max_K:
-            raise OracleBudgetError(
-                f"matching oracle capped at {self.max_N}x{self.max_K}, got {N}x{K}"
-            )
 
-    def check_inner(self, N: int, K: int, L: int):
-        self.check_matching(N, K)
-        if L > self.max_tau:
-            raise OracleBudgetError(
-                f"inner oracle capped at {self.max_tau} slots, got {L}"
-            )
+def check_inner(N: int, K: int, L: int):
+    check_matching(N, K)
+    if L > MAX_TAU:
+        raise OracleBudgetError(f"inner oracle capped at {MAX_TAU} slots, got {L}")
 
-    def check_plan(self, T: int, tau: int):
-        if T > self.max_T or tau > self.max_tau:
-            raise OracleBudgetError(
-                f"plan oracle capped at T={self.max_T}, tau={self.max_tau}, "
-                f"got T={T}, tau={tau}"
-            )
+
+def check_plan(T: int, tau: int):
+    if T > MAX_T or tau > MAX_TAU:
+        raise OracleBudgetError(f"plan oracle capped at T={MAX_T}, tau={MAX_TAU}, "
+                                f"got T={T}, tau={tau}")
 
 
 def _enumerate_masks(N: int, K: int, cap: int) -> np.ndarray:
@@ -85,12 +80,11 @@ def _enumerate_masks(N: int, K: int, cap: int) -> np.ndarray:
     return np.array(masks)
 
 
-def oracle_matching(problem: AssignmentProblem,
-                    budget: OracleBudget = OracleBudget()) -> BinaryAssignment:
+def oracle_matching(problem: AssignmentProblem) -> BinaryAssignment:
     """Exact assignment optimum by full enumeration."""
     w = problem.weights
     N, K = w.shape
-    budget.check_matching(N, K)
+    check_matching(N, K)
     masks = _enumerate_masks(N, K, int(problem.bs_capacity))
     scores = masks.reshape(len(masks), -1) @ w.reshape(-1)
     best = int(np.argmin(scores))
@@ -145,8 +139,7 @@ def _oracle_slot_cap(iota_flat: np.ndarray, masks_flat: np.ndarray, power_cap: f
     return hi, (1.0 - xi) * rm + xi * rp
 
 
-def oracle_inner(spec: IntervalSpec, profile: ChannelProfile,
-                 budget: OracleBudget = OracleBudget()):
+def oracle_inner(spec: IntervalSpec, profile: ChannelProfile):
     """Interval optimum from a dense water-level grid with exhaustive matching.
 
     Grid points carry the exact (rate, energy) of the enumerated optimum at
@@ -157,7 +150,7 @@ def oracle_inner(spec: IntervalSpec, profile: ChannelProfile,
     """
     N, K, _ = profile.dims
     L = spec.num_slots
-    budget.check_inner(N, K, L)
+    check_inner(N, K, L)
     vbar = float(spec.rate_target)
     if vbar <= 0.0:
         return 0.0
@@ -171,7 +164,7 @@ def oracle_inner(spec: IntervalSpec, profile: ChannelProfile,
     if phi_max < vbar * (1.0 - 1e-12):
         return Infeasible(max_rate=phi_max)
 
-    grid = np.linspace(float(iota3d.min()), max(c[0] for c in caps), budget.grid_points)
+    grid = np.linspace(float(iota3d.min()), max(c[0] for c in caps), GRID_POINTS)
     total_rate = np.zeros(len(grid))
     total_energy = np.zeros(len(grid))
     for t in range(L):
@@ -204,15 +197,14 @@ def oracle_inner(spec: IntervalSpec, profile: ChannelProfile,
     return float(e0 + frac * (e1 - e0))
 
 
-def oracle_plan(horizon: int, aoi_bound: int, edge_weight,
-                budget: OracleBudget = OracleBudget()):
+def oracle_plan(horizon: int, aoi_bound: int, edge_weight):
     """Enumerate every gap-feasible sampling sequence and take the minimum.
 
     ``edge_weight(i, j)`` supplies interval costs (inf marks infeasible
     intervals).  Returns (instants including the anchor slot 1, energy,
     number of sequences enumerated).
     """
-    budget.check_plan(horizon, aoi_bound)
+    check_plan(horizon, aoi_bound)
     goal = horizon + 1
     best = math.inf
     best_path = None
@@ -235,11 +227,10 @@ def oracle_plan(horizon: int, aoi_bound: int, edge_weight,
     return best_path, best, count
 
 
-def oracle_plan_from_profile(scenario, profile: ChannelProfile, rb_cap: int,
-                             budget: OracleBudget = OracleBudget()):
+def oracle_plan_from_profile(scenario, profile: ChannelProfile, rb_cap: int):
     """Self-contained plan oracle: enumeration over oracle_inner energies."""
     T, tau = scenario.horizon_T, scenario.aoi_bound_tau
-    budget.check_plan(T, tau)
+    check_plan(T, tau)
     cache = {}
 
     def weight(i, j):
@@ -247,24 +238,21 @@ def oracle_plan_from_profile(scenario, profile: ChannelProfile, rb_cap: int,
             spec = IntervalSpec(start=i, end=j, rb_cap=rb_cap,
                                 rate_target=scenario.payload_threshold_vbar,
                                 power_cap=scenario.power_budget_pbar)
-            val = oracle_inner(spec, profile, budget)
+            val = oracle_inner(spec, profile)
             cache[(i, j)] = math.inf if isinstance(val, Infeasible) else val
         return cache[(i, j)]
 
-    instants, energy, _ = oracle_plan(T, tau, weight, budget)
+    instants, energy, _ = oracle_plan(T, tau, weight)
     return instants, energy
 
 
-def mc_expected_capacity(kappa: float, snr_bar: float, samples: int, seed: int,
-                         budget: OracleBudget = OracleBudget()):
+def mc_expected_capacity(kappa: float, snr_bar: float, samples: int, seed: int):
     """Monte Carlo estimate of E[log2(1 + snr * xi)], xi ~ Gamma(kappa, 1/kappa).
 
     Returns (mean, standard error).
     """
-    if samples > budget.mc_samples:
-        raise OracleBudgetError(
-            f"capacity oracle capped at {budget.mc_samples} samples, got {samples}"
-        )
+    if samples > MC_SAMPLES:
+        raise OracleBudgetError(f"capacity oracle capped at {MC_SAMPLES} samples, got {samples}")
     rng = np.random.default_rng(seed)
     xi = rng.gamma(shape=kappa, scale=1.0 / kappa, size=samples)
     vals = np.log2(1.0 + snr_bar * xi)

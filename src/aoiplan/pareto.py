@@ -106,13 +106,13 @@ def compute_frontier(scenario: Scenario, profile: ChannelProfile,
     )
 
 
-def _check_strictly_increasing(fn, lo: float, hi: float, name: str, samples: int = 257):
+def _check_strictly_increasing(fn, lo: float, hi: float, name: str):
     """Reject maps that are not strictly increasing on [lo, hi] (sampled),
     or that fail to evaluate there (say 0 ** -1 or an overflow)."""
     if lo == hi:
         grid = np.array([lo, lo + max(abs(lo), 1.0) * 1e-6])
     else:
-        grid = np.linspace(lo, hi, samples)
+        grid = np.linspace(lo, hi, 257)
     try:
         vals = [fn(float(x)) for x in grid]
     except ArithmeticError as exc:

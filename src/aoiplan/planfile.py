@@ -61,9 +61,9 @@ def save_plan(plan: PolicyPlan, path, scenario_digest: str, power_budget: float,
 def load_plan(path) -> tuple[PolicyPlan, dict]:
     """Load a plan file; returns (plan, header dict).
 
-    Re-validates the structural invariants: instant ordering, freshness
-    gaps for interval plans, capacity families per slot, and per-slot
-    power against the recorded budget.
+    Re-validates the structural invariants: finite numbers, instant
+    ordering, freshness gaps for interval plans, capacity families per
+    slot, and per-slot power against the recorded budget.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -88,6 +88,10 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         raise PlanFormatError(f"unknown success_mode {mode!r}; expected one of {SUCCESS_MODES}")
     if horizon < 1:
         raise PlanFormatError(f"plan horizon must be >= 1, got {horizon}")
+    if not 0.0 < power_budget < math.inf:
+        raise PlanFormatError(f"power_budget must be a finite number > 0, got {power_budget}")
+    if not math.isfinite(threshold):
+        raise PlanFormatError(f"delivery_threshold must be a finite number, got {threshold}")
 
     plan = PolicyPlan(
         kind=kind, horizon=horizon, aoi_bound=aoi_bound, rb_cap=rb_cap,
@@ -105,6 +109,8 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanFormatError(f"plan leg {index} has a missing or malformed field: {exc}"
                                   ) from exc
+        if not math.isfinite(target):
+            raise PlanFormatError(f"plan leg {index} target must be a finite number, got {target}")
         if start != prev_end:
             raise PlanFormatError(f"legs are not contiguous at slot {start}")
         if not 1 <= start < end <= horizon + 1:
@@ -120,8 +126,8 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         for rec, n, k, t, p in records:
             if not (0 <= n < N and 0 <= k < K and start <= t < end):
                 raise PlanFormatError(f"entry {rec} outside leg [{start}, {end})")
-            if p <= 0.0:
-                raise PlanFormatError(f"entry {rec} carries non-positive power")
+            if not 0.0 < p < math.inf:
+                raise PlanFormatError(f"entry {rec} carries power outside (0, inf)")
             if assignment[n, k, t - start]:
                 raise PlanFormatError(f"duplicate entry at (bs={n+1}, rb={k+1}, t={t})")
             assignment[n, k, t - start] = 1

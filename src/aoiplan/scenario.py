@@ -245,46 +245,33 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def default_patrol_scenario(
-    seed: int,
-    *,
-    horizon: int = 60,
-    num_bs: int = 5,
-    num_rb: int = 16,
-    aoi_bound: int = 4,
-    payload_threshold: float = 24.0,
-    power_budget_dbm: float = 23.0,
-    noise_power_dbm: float = -90.0,
-    area_side_m: float = 200.0,
-    altitude_m: float = 50.0,
-    speed_mps: float = 6.0,
-) -> Scenario:
-    """Build the circular-patrol scenario with its documented defaults.
+def default_patrol_scenario(seed: int, *, horizon: int = 60) -> Scenario:
+    """Build the ``table1`` circular-patrol scenario over ``horizon`` slots.
 
-    The UAV flies a circle of radius ``area_side_m / 2`` centred on the
+    Five base stations share 16 resource blocks under a 4-slot AoI bound,
+    a 24 bit/s/Hz payload threshold, a 23 dBm per-slot budget and -90 dBm
+    noise.  The UAV flies a circle of radius 100 m centred on the 200 m
     monitored square at 50 m altitude and 6 m/s; base stations are placed
     uniformly at random on the ground inside the square.  Reproducible
     from ``seed``.
     """
     rng = np.random.default_rng(seed)
-    radius = area_side_m / 2.0
-    omega = speed_mps / radius  # rad per slot at 1 s slots
-    t = np.arange(horizon)
+    half = 100.0          # half the square's side, and the patrol radius
+    omega = 6.0 / half    # rad per slot at 1 s slots
     traj = tuple(
-        (radius * math.cos(omega * ti), radius * math.sin(omega * ti), altitude_m)
-        for ti in t
+        (half * math.cos(omega * ti), half * math.sin(omega * ti), 50.0)
+        for ti in np.arange(horizon)
     )
-    half = area_side_m / 2.0
-    bs_xy = rng.uniform(-half, half, size=(num_bs, 2))
+    bs_xy = rng.uniform(-half, half, size=(5, 2))
     bs = tuple((float(x), float(y), 0.0) for x, y in bs_xy)
     return Scenario(
         horizon_T=horizon,
-        num_bs_N=num_bs,
-        num_rb_K=num_rb,
-        aoi_bound_tau=aoi_bound,
-        payload_threshold_vbar=payload_threshold,
-        power_budget_pbar=dbm_to_linear_mw(power_budget_dbm),
-        noise_power_delta2=dbm_to_linear_mw(noise_power_dbm),
+        num_bs_N=5,
+        num_rb_K=16,
+        aoi_bound_tau=4,
+        payload_threshold_vbar=24.0,
+        power_budget_pbar=dbm_to_linear_mw(23.0),
+        noise_power_delta2=dbm_to_linear_mw(-90.0),
         uav_trajectory=traj,
         bs_positions=bs,
         carrier_freq_ghz=3.0,

@@ -147,11 +147,10 @@ def _leg_from_solution(scenario: Scenario, start, end, target, sol) -> Leg:
     )
 
 
-def policy_plan_from_sampling(plan: SamplingPlan, scenario: Scenario,
-                              kind: str = "age-aware") -> PolicyPlan:
+def policy_plan_from_sampling(plan: SamplingPlan, scenario: Scenario) -> PolicyPlan:
     """Wrap an optimal sampling plan in the simulator's policy structure."""
     out = PolicyPlan(
-        kind=kind,
+        kind="age-aware",
         horizon=plan.horizon,
         aoi_bound=plan.aoi_bound,
         rb_cap=plan.rb_cap,

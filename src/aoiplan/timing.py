@@ -26,8 +26,6 @@ __all__ = ["TimingGraph", "SamplingPlan", "build_graph", "shortest_path", "expor
 
 @dataclass(frozen=True)
 class Edge:
-    start: int
-    end: int
     weight: float                      # inf when infeasible
     solution: object                   # InnerSolution | Infeasible
 
@@ -106,7 +104,7 @@ def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
         )
         sol = solve_interval(spec, profile, curves[i - 1 : j - 1])
         weight = math.inf if isinstance(sol, Infeasible) else sol.energy
-        graph.edges[(i, j)] = Edge(start=i, end=j, weight=weight, solution=sol)
+        graph.edges[(i, j)] = Edge(weight=weight, solution=sol)
     return graph
 
 

@@ -161,6 +161,36 @@ def test_plan_infeasible_exit_code(tmp_path):
     assert rc == 3
 
 
+def _break_profile(path, breakage):
+    if breakage == "text file":
+        path.write_text("not a profile\n")
+    elif breakage == "truncated":
+        path.write_bytes(path.read_bytes()[:200])
+    else:
+        with np.load(path) as data:
+            arrays = dict(data)
+        if breakage == "no iota":
+            del arrays["iota"]
+        elif breakage == "mismatched shapes":
+            arrays["shape"] = arrays["shape"][:, :, :-1]
+        elif breakage == "nan noise":
+            arrays["noise_power"] = np.array(np.nan)
+        else:  # NaN entry
+            arrays["gain"][0, 0, 0] = np.nan
+        np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("breakage", ["text file", "truncated", "no iota",
+                                      "mismatched shapes", "nan entry", "nan noise"])
+def test_malformed_profile_is_validation_error(tmp_path, desk_files, capsys, breakage):
+    _, _, scen, profp = desk_files
+    _break_profile(Path(profp), breakage)
+    capsys.readouterr()
+    assert main(["plan", "--scenario", scen, "--profile", profp,
+                 "--epsilon-theta", "2"]) == 2
+    assert f"profile file {profp} is malformed" in capsys.readouterr().err
+
+
 def test_simulate_malformed_plan_file_is_validation_error(tmp_path, desk_files, capsys):
     _, _, scen, profp = desk_files
     plan = tmp_path / "plan.json"

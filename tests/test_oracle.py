@@ -8,7 +8,7 @@ from aoiplan.errors import NoFeasiblePlanError, OracleBudgetError
 from aoiplan.inner import Infeasible, IntervalSpec, solve_interval
 from aoiplan.matching import AssignmentProblem
 from aoiplan.oracle import (
-    OracleBudget,
+    check_inner,
     mc_expected_capacity,
     oracle_inner,
     oracle_matching,
@@ -20,13 +20,12 @@ from test_inner import single_entry_profile
 
 
 def test_budget_enforced_never_truncated():
-    b = OracleBudget()
     with pytest.raises(OracleBudgetError):
-        oracle_matching(AssignmentProblem(np.zeros((4, 4)), 1), b)
+        oracle_matching(AssignmentProblem(np.zeros((4, 4)), 1))
     with pytest.raises(OracleBudgetError):
-        b.check_inner(2, 2, 5)
+        check_inner(2, 2, 5)
     with pytest.raises(OracleBudgetError):
-        oracle_plan(13, 3, lambda i, j: 1.0, b)
+        oracle_plan(13, 3, lambda i, j: 1.0)
     with pytest.raises(OracleBudgetError):
         mc_expected_capacity(1.0, 1.0, samples=2_000_000, seed=0)
 

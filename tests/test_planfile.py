@@ -119,6 +119,48 @@ def test_rejects_missing_or_short_leg_fields(saved_plan, tmp_path, breakage):
         load_plan(bad)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_rejects_a_power_budget_that_is_not_finite(saved_plan, tmp_path, budget):
+    """A NaN budget would switch off the per-slot power check."""
+    *_, path = saved_plan
+
+    def unbound(doc):
+        doc["power_budget"] = budget
+        for leg in doc["legs"]:
+            for rec in leg["entries"]:
+                rec[3] *= 1000.0
+
+    with pytest.raises(PlanFormatError, match="power_budget"):
+        load_plan(_mutate(path, tmp_path, unbound))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_rejects_a_delivery_threshold_that_is_not_finite(saved_plan, tmp_path, value):
+    *_, path = saved_plan
+    bad = _mutate(path, tmp_path, lambda d: d.update(delivery_threshold=value))
+    with pytest.raises(PlanFormatError, match="delivery_threshold"):
+        load_plan(bad)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_rejects_a_leg_target_that_is_not_finite(saved_plan, tmp_path, value):
+    *_, path = saved_plan
+    bad = _mutate(path, tmp_path, lambda d: d["legs"][0].update(target=value))
+    with pytest.raises(PlanFormatError, match="plan leg 1 target"):
+        load_plan(bad)
+
+
+def test_rejects_a_nan_entry_power(saved_plan, tmp_path):
+    """NaN passes both ``p <= 0`` and the budget comparison."""
+    *_, path = saved_plan
+
+    def poison(doc):
+        doc["legs"][0]["entries"][0][3] = float("nan")
+
+    with pytest.raises(PlanFormatError, match="power outside"):
+        load_plan(_mutate(path, tmp_path, poison))
+
+
 def test_rejects_an_empty_horizon(saved_plan, tmp_path):
     *_, path = saved_plan
     bad = _mutate(path, tmp_path, lambda d: d.update(horizon=0, legs=[], instants=[]))

@@ -14,6 +14,7 @@ from aoiplan.scenario import (
     load_scenario,
     parse_scenario,
     save_scenario,
+    scenario_digest,
     scenario_to_dict,
 )
 
@@ -42,6 +43,12 @@ def test_table1_constants():
     assert s.shadowing_corr_dist_m == 5.0
     assert s.shadowing_sigma_db == pytest.approx(math.sqrt(8.0))
     assert s.kappa_range == (1.0, 30.0)
+    assert (s.num_bs_N, s.num_rb_K, s.aoi_bound_tau, s.horizon_T) == (5, 16, 4, 60)
+    assert s.payload_threshold_vbar == 24.0
+    assert s.power_budget_pbar == dbm_to_linear_mw(23.0)
+    # digests of the preset as recorded; any drift changes every plan header
+    assert scenario_digest(default_patrol_scenario(1)) == "a5a2a31d1d191441"
+    assert scenario_digest(default_patrol_scenario(1, horizon=5)) == "acd8b2d6a956f276"
 
 
 def test_dbm_roundtrip_exact():

@@ -18,7 +18,7 @@ from conftest import desk_scenario
 def graph_from_weights(horizon, aoi_bound, weights):
     g = TimingGraph(horizon=horizon, aoi_bound=aoi_bound, rb_cap=1)
     for (i, j), w in weights.items():
-        g.edges[(i, j)] = Edge(start=i, end=j, weight=w, solution=None)
+        g.edges[(i, j)] = Edge(weight=w, solution=None)
     return g
 
 
