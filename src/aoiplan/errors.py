@@ -41,9 +41,11 @@ class PlanFormatError(AoiPlanError):
 
 
 class BinaryRoundingError(AoiPlanError):
-    """The binary plan extraction could not meet the rate target.
+    """The binary plan extraction, or the relaxed mix of the one-sided
+    limits, could not meet the rate target.
 
     Only reachable on adversarial instances where both limit supports are
-    rate-deficient under the per-slot power cap; never observed on the
-    randomized test suites.
+    rate-deficient (under the per-slot power cap, or short of the target
+    by more than the solver's rate tolerance at its water level); never
+    observed on the randomized test suites.
     """

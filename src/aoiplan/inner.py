@@ -184,6 +184,7 @@ __all__ = [
     "SlotCurve",
     "slot_curves",
     "solve_interval",
+    "dual_bound",
 ]
 
 
@@ -223,7 +224,9 @@ class InnerSolution:
     ``energy`` is the relaxed (mixed) optimum used as the timing-graph edge
     weight; ``binary_energy`` is what the exported plan actually spends.
     ``slot_levels`` are the binary plan's per-slot water levels, so active
-    powers equal [slot_level - floor]+ entrywise.
+    powers equal [slot_level - floor]+ entrywise.  ``level`` is the relaxed
+    solve's global water level mu; ``ln2 * level`` is the marginal energy
+    per unit of payload, and :func:`dual_bound` evaluates at it.
     """
 
     assignment: np.ndarray   # (N, K, L) of {0, 1}
@@ -233,6 +236,7 @@ class InnerSolution:
     expected_rate: float     # binary plan rate, >= target
     slot_levels: np.ndarray  # (L,)
     mix: np.ndarray          # (L,) mixing coefficients of the relaxed solve
+    level: float             # global water level of the relaxed solve
 
 
 @dataclass(frozen=True)
@@ -274,7 +278,7 @@ def _slot_state(level, iota2d, cap, hint=None, priced=False):
         select, cert = hint, None
     else:
         w = power - LN2 * float(level) * rate
-        out = min_cost_b_matching(AssignmentProblem(w, cap), hint=hint)
+        out = min_cost_b_matching(AssignmentProblem.trusted(w, cap), hint=hint)
         select, cert = out.select, out.cert
     sel = select.astype(bool)
     return select, float(power[sel].sum()), float(rate[sel].sum()), cert
@@ -453,11 +457,26 @@ class SlotCurve:
         (am, pm, rm), (ap, pp, rp) = sides
         return _SlotLimits(am, ap, pm, pp, rm, rp)
 
+    def _w_max(self, level: float) -> float:
+        """max|w| of the matching weights at ``level``: the entry with the
+        smallest floor has the most negative weight."""
+        i = self._iota_min
+        return level * math.log(level / i) - (level - i) if level > i else 0.0
+
     def _slack(self, level: float) -> float:
         """Kernel suboptimality bound at ``level``, divided by ln 2."""
-        i = self._iota_min
-        w_max = level * math.log(level / i) - (level - i) if level > i else 0.0
-        return self._slack_scale * (1.0 + level + w_max)
+        return self._slack_scale * (1.0 + level + self._w_max(level))
+
+    def cost_floor(self, level: float) -> float:
+        """Lower bound on the exact minimum matching cost at ``level``: the
+        kernel selection's cost ``power - ln2 * level * rate``, less the
+        kernel's ``K * stop_tol`` and ``PIECE_ROUNDING`` per RB for the
+        rounding of the weights and sums."""
+        _, power, rate = self.state(level)
+        K = self.iota2d.shape[1]
+        w_max = self._w_max(level)
+        return (power - LN2 * level * rate
+                - K * (_stop_tol(w_max) + PIECE_ROUNDING * (1.0 + level + w_max)))
 
     def bounds(self, level: float) -> tuple:
         """(lower, upper) bounds on the kernel rate at ``level``: the
@@ -535,6 +554,28 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> SlotCurve:
 def slot_curves(iota3d: np.ndarray, cap: int, power_cap: float) -> list:
     """One :func:`solve_slot_cap` curve per slot of ``iota3d`` (N, K, L)."""
     return [solve_slot_cap(iota3d[:, :, t], cap, power_cap) for t in range(iota3d.shape[2])]
+
+
+def dual_bound(slots, mu: float, rate_target: float, power_cap: float) -> float:
+    """Certified lower bound on the exact relaxed optimum of the interval
+    whose slot curves are ``slots``: the Lagrangian dual at global level
+    ``mu > 0``,
+
+        D(mu) = ln2*mu*V + sum_t [(mu/l_t)*C_t(l_t) - (mu/l_t - 1)*P],
+
+    with ``l_t = min(mu, cap level of slot t)`` and ``C_t`` the slot's
+    :meth:`SlotCurve.cost_floor`, lowered by the rounding of the sum (see
+    :mod:`aoiplan.timing`, whose pruning rests on it).
+    """
+    terms = [LN2 * mu * rate_target]
+    size = terms[0]
+    for slot in slots:
+        level = min(mu, slot.slot_cap.level)
+        ratio = mu / level
+        cost = slot.cost_floor(level)
+        terms.append(ratio * cost - (ratio - 1.0) * power_cap)
+        size += ratio * (abs(cost) + power_cap)
+    return seq_sum(terms) - 2.0 * (len(terms) + 8) * UNIT_ROUNDOFF * size
 
 
 def _reaches(slots, mu: float, target: float) -> bool:
@@ -630,6 +671,7 @@ def _zero_solution(N, K, L):
         expected_rate=0.0,
         slot_levels=np.zeros(L),
         mix=np.zeros(L),
+        level=0.0,
     )
 
 
@@ -684,8 +726,14 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
     tol_r = RATE_REL_TOL * vbar
     if mixed_rate(0.0) >= vbar - tol_r:
         xi_star = 0.0
-    elif mixed_rate(1.0) <= vbar:
+    elif (top := mixed_rate(1.0)) <= vbar:
         xi_star = 1.0
+        if top < vbar - tol_r:
+            # the relaxed energy would price a rate short of the target,
+            # which the timing graph's pruning bound rules out
+            raise BinaryRoundingError(
+                f"both one-sided limits miss rate {vbar} at level {mu} on "
+                f"interval [{spec.start}, {spec.end})")
     else:
         xi_star = _bisect(0.0, 1.0, lambda xi: mixed_rate(xi) >= vbar, rel=0.0, floor=1e-15)
 
@@ -729,4 +777,5 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         expected_rate=float(binary_rate),
         slot_levels=levels,
         mix=mix,
+        level=mu,
     )

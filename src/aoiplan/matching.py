@@ -88,6 +88,16 @@ class AssignmentProblem:
             raise ValueError(f"bs_capacity must be an integer >= 1, got {self.bs_capacity!r}")
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def trusted(cls, weights: np.ndarray, bs_capacity: int) -> "AssignmentProblem":
+        """A problem over a finite float (N, K) matrix and an integer cap
+        >= 1, taken as given: the solver's own weights are finite by
+        construction, so their checks are skipped."""
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "weights", weights)
+        object.__setattr__(problem, "bs_capacity", bs_capacity)
+        return problem
+
 
 @dataclass
 class BinaryAssignment:

@@ -7,21 +7,95 @@ infeasibility marker.  Feasible sampling sequences map bijectively to
 1 -> T+1 paths, so the optimal sequence is the shortest path, found by a
 forward dynamic program in node order (the graph is a DAG by
 construction).
+
+Pruned edges.  :func:`build_graph` solves an edge only when some path
+through it can still tie or beat the optimum, which is lazy shortest-path
+search (Dellin and Srinivasa, ICAPS 2016).  It first solves the maximal
+edges, those no admissible edge contains: ``(a, a + L)`` with ``L =
+min(tau, T)``.  A feasible maximal edge M, solved at water level mu,
+gives a floor ``B_M`` under the computed weight of every edge inside it:
+
+  * The Lagrangian of the inner problem at mu and slot levels ``l_t =
+    min(mu, cap level of slot t)`` prices an allocation of slot t by
+    ``(mu/l_t)*power - ln2*mu*rate``.  Its minimum over the slot's
+    time-shared matchings is ``(mu/l_t)*C_t(l_t)``, where ``C_t`` is the
+    exact minimum matching cost under the weights at ``l_t`` (each
+    entry's best power is water-filling at ``l_t``).  Summing over M's
+    slots, any allocation x with rate R and per-slot powers
+    ``P_t(x) <= P + d_t`` spends
+
+        E(x) >= D(mu) - ln2*mu*(V - R) - sum_t (mu/l_t - 1)*d_t,
+
+    with D the dual of :func:`~aoiplan.inner.dual_bound` (weak duality;
+    time-sharing closes the gap, Yu and Lui, IEEE Trans. Commun. 2006).
+    D is certified: ``C_t`` is the kernel's cost lowered by its
+    ``K*stop_tol`` and rounding, and D is lowered by its own rounding.
+  * An edge e inside M is such an allocation with M's other slots
+    silent: they spend nothing and carry nothing, and ``C_t <= 0``.  The
+    solver's relaxed allocation for e mixes per slot two selections
+    water-filled at one level.  Its float rate is at least
+    ``V*(1 - RATE_REL_TOL)``, since :func:`~aoiplan.inner.solve_interval`
+    raises rather than return less.  Where its real rate falls short of
+    V, it is within ``RATE_ROUNDING*n*(1 + V)`` of the float one, for its
+    ``n <= 2*L*K`` mixed entries: each log2 errs by the few ulps of the
+    closed-form brackets in :mod:`aoiplan.inner`, and each sum of
+    non-negative terms by ``n*u`` relative, where ``u = 2**-53``.
+  * A slot at or above its cap level spends the cap's mix, which the cap
+    bisection leaves a rounding above P.  A slot below it spends at most
+    the cap's plus side plus ``2*K*eps``, with eps the one-sided limits'
+    offset at the cap level.  Three facts give this.  The exact optimum's
+    power is non-decreasing in the level: at levels ``a < b`` with optima
+    x and y, optimality at each level gives ``(b - a)*(R(y) - R(x)) >=
+    0``, and then ``P(y) - P(x) >= ln2*a*(R(y) - R(x)) >= 0``.  Each
+    selection in the slot's mix is optimal at a level within eps of the
+    slot's level and at most the cap level plus eps.  Moving a
+    selection's level by eps moves its power by at most ``K*eps``.  This
+    step takes the kernel's selections as the exact optima; the dual
+    tests check the bound it gives.  So ``d_t`` is the larger of the two
+    powers less P.  Only slots with ``mu > l_t`` count.
+  * The computed energy passes each real power through at most
+    ``K + L + 3`` roundings of non-negative numbers, so it is at least
+    ``1 - 2*(K + L + 4)*u`` times the real one.
+
+Hence every edge inside M weighs at least ``B_M = D - ln2*mu*(V*RATE_REL_TOL
++ RATE_ROUNDING*2*L*K*(1 + V)) - sum_t (mu/l_t - 1)*d_t -
+2*(K + L + 4)*u*|D|``.  Weights are non-negative, so the floor of an edge
+is the largest ``B_M`` of the maximal edges around it, and 0 without one.
+An infeasible maximal edge gives no floor.
+
+The lazy loop then prices solved edges by their weights and the others by
+their floors.  It repeatedly solves the unsolved legs of the floor-priced
+shortest path until that path is fully solved.  Its cost c is then the
+eager graph's optimum, bit for bit: floors are at most the weights, and
+float addition and min are monotone.  Last, it solves every edge whose
+floor-priced path cost, ``forward + floor + backward``, is at most
+``c*(1 + 4*(T + 2)*u)``.  An edge on the eager DP's path meets this test.
+Its forward part is at most the DP's distance at its start, and its
+backward part at most the float suffix sum.  Regrouping at most T
+non-negative terms moves a sum by under ``2*(T + 1)*u`` relative.  So
+every edge the eager DP's earlier-predecessor tie-break could pick is
+solved.  :func:`shortest_path` skips the absent edges.  Along the eager
+path its distances equal the eager ones, and every earlier predecessor
+still loses strictly, so its plan is bit-identical to the eager graph's.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .channel import ChannelProfile
 from .errors import NoFeasiblePlanError
-from .inner import Infeasible, IntervalSpec, slot_curves, solve_interval
+from .inner import (LIMIT_ABS_FLOOR, LIMIT_REL_EPS, LN2, RATE_REL_TOL, UNIT_ROUNDOFF,
+                    Infeasible, IntervalSpec, dual_bound, slot_curves, solve_interval)
 from .numeric import seq_sum
 from .scenario import Scenario
 
 __all__ = ["TimingGraph", "SamplingPlan", "build_graph", "shortest_path", "export_graph_csv"]
+
+RATE_ROUNDING = 2.0 ** -40  # real-vs-float rate of a relaxed allocation, per entry, relative to 1 + V
 
 
 @dataclass(frozen=True)
@@ -34,12 +108,56 @@ class Edge:
         return math.isfinite(self.weight)
 
 
+class _Edges(Mapping):
+    """A built graph's edges keyed ``(i, j)``, each solved at most once.
+
+    ``get`` sees only the edges solved so far, which is all that
+    :func:`shortest_path` reads.  Indexing, iteration and ``len`` cover
+    every admissible edge, and indexing solves a missing one with the
+    graph's edge solver.
+    """
+
+    def __init__(self, keys, solve):
+        self._keys = dict.fromkeys(keys)  # admissible edges in a fixed order
+        self._solve = solve
+        self.solved = {}
+
+    def __getitem__(self, key):
+        edge = self.solved.get(key)
+        if edge is None:
+            if key not in self._keys:
+                raise KeyError(key)
+            edge = self.solved[key] = self._solve(*key)
+        return edge
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def get(self, key, default=None):
+        return self.solved.get(key, default)
+
+
 @dataclass
 class TimingGraph:
+    """Interval graph over nodes 1..T+1.
+
+    ``solved_edges`` and ``pruned_edges`` count the edges
+    :func:`build_graph` solved and left unsolved; reading every edge
+    solves the rest on demand and leaves both counts as they were.
+    """
+
     horizon: int
     aoi_bound: int
     rb_cap: int
-    edges: dict = field(default_factory=dict)  # (i, j) -> Edge
+    edges: Mapping = field(default_factory=dict)  # (i, j) -> Edge
+    solved_edges: int = 0
+    pruned_edges: int = 0
 
     @property
     def num_nodes(self) -> int:
@@ -80,32 +198,110 @@ def _edge_targets(horizon: int, aoi_bound: int):
             yield (i, i + gap)
 
 
+def _edge_floor(slots, mu: float, target: float, power_cap: float) -> float:
+    """``B_M`` of the module docstring for a maximal edge over ``slots``
+    solved at level ``mu``: a floor under the computed weight of every
+    edge inside it."""
+    K, L = slots[0].iota2d.shape[1], len(slots)
+    dual = dual_bound(slots, mu, target, power_cap)
+    short = RATE_REL_TOL * target + RATE_ROUNDING * 2 * L * K * (1.0 + target)
+    over = 0.0
+    for slot in slots:
+        cap = slot.slot_cap
+        if mu > cap.level:
+            lim = cap.limits
+            eps = max(cap.level * LIMIT_REL_EPS, LIMIT_ABS_FLOOR)
+            spent = max((1.0 - cap.xi) * lim.p_minus + cap.xi * lim.p_plus,
+                        lim.p_plus + 2 * K * eps)
+            excess = spent * (1.0 + 2 * (K + 4) * UNIT_ROUNDOFF) - power_cap
+            over += (mu / cap.level - 1.0) * max(excess, 0.0)
+    floor = dual - LN2 * mu * short - over - 2 * (K + L + 4) * UNIT_ROUNDOFF * abs(dual)
+    return max(floor, 0.0)
+
+
+def _distances(n: int, tau: int, cost) -> tuple:
+    """Forward DP from node 1 over ``cost(i, j)``: (distances, predecessors),
+    ties broken toward the earlier predecessor; an infinite cost is no edge."""
+    dist = [math.inf] * (n + 1)
+    pred = [0] * (n + 1)
+    dist[1] = 0.0
+    for j in range(2, n + 1):
+        for i in range(max(1, j - tau), j):
+            c = dist[i] + cost(i, j)
+            if c < dist[j]:
+                dist[j], pred[j] = c, i
+    return dist, pred
+
+
+def _solve_lazily(edges: _Edges, floors: dict, n: int, tau: int) -> None:
+    """Solve the edges a shortest path over nodes 1..n can use (see the
+    module docstring); the others keep their floors and stay unsolved."""
+    def cost(i, j):
+        edge = edges.get((i, j))
+        return floors.get((i, j), 0.0) if edge is None else edge.weight
+
+    while True:
+        dist, pred = _distances(n, tau, cost)
+        if not math.isfinite(dist[n]):
+            return  # no path: the eager graph has none either
+        path = [n]
+        while path[-1] != 1:
+            path.append(pred[path[-1]])
+        todo = [(i, j) for j, i in zip(path, path[1:]) if (i, j) not in edges.solved]
+        if not todo:
+            break
+        for key in todo:
+            edges[key]  # indexing solves the edge
+    # distances to n, as a forward DP over the mirrored graph
+    back = _distances(n, tau, lambda i, j: cost(n + 1 - j, n + 1 - i))[0]
+    limit = dist[n] + dist[n] * (4 * (n + 1) * UNIT_ROUNDOFF)
+    for i, j in edges:
+        if (i, j) not in edges.solved and dist[i] + cost(i, j) + back[n + 1 - j] <= limit:
+            edges[(i, j)]
+
+
 def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
                 jobs: int = 1, rate_margin: float = 1.0) -> TimingGraph:
-    """Solve every admissible interval and assemble the timing graph.
+    """Assemble the timing graph, solving only the edges a shortest path
+    can use (see the module docstring).
 
     Each slot's cap level is solved once and its kernel rates are shared
     by every interval through it (:class:`~aoiplan.inner.SlotCurve`).
     Infeasible intervals become infinite-weight edges, never failures.
-    Edges are solved one after another; ``jobs`` stays only for callers
-    that pass ``jobs=1``, and any other value raises :class:`ValueError`.
+    The graph's ``edges`` solve the pruned ones on first access with the
+    same solver and curves.  Edges are solved one after another; ``jobs``
+    stays only for callers that pass ``jobs=1``, and any other value
+    raises :class:`ValueError`.
     """
     if jobs != 1:
         raise ValueError(f"edges are solved serially; jobs must be 1, got {jobs!r}")
     T, tau = scenario.horizon_T, scenario.aoi_bound_tau
     power_cap = scenario.power_budget_pbar
+    target = scenario.payload_threshold_vbar * rate_margin
     curves = slot_curves(profile.iota[:, :, :T], rb_cap, power_cap)
-    graph = TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap)
-    for i, j in _edge_targets(T, tau):
-        spec = IntervalSpec(
-            start=i, end=j, rb_cap=rb_cap,
-            rate_target=scenario.payload_threshold_vbar * rate_margin,
-            power_cap=power_cap,
-        )
+
+    def solve(i, j):
+        spec = IntervalSpec(start=i, end=j, rb_cap=rb_cap, rate_target=target,
+                            power_cap=power_cap)
         sol = solve_interval(spec, profile, curves[i - 1 : j - 1])
-        weight = math.inf if isinstance(sol, Infeasible) else sol.energy
-        graph.edges[(i, j)] = Edge(weight=weight, solution=sol)
-    return graph
+        return Edge(weight=math.inf if isinstance(sol, Infeasible) else sol.energy,
+                    solution=sol)
+
+    edges = _Edges(_edge_targets(T, tau), solve)
+    L = min(tau, T)
+    floors = {}
+    for a in range(1, T + 2 - L):
+        sol = edges[(a, a + L)].solution
+        if isinstance(sol, Infeasible) or not sol.level > 0.0:
+            continue  # no floor beyond the weights' own 0
+        floor = _edge_floor(curves[a - 1 : a - 1 + L], sol.level, target, power_cap)
+        for i in range(a, a + L):
+            for j in range(i + 1, a + L + 1):
+                floors[(i, j)] = max(floor, floors.get((i, j), 0.0))
+    _solve_lazily(edges, floors, T + 1, tau)
+    solved = len(edges.solved)
+    return TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap, edges=edges,
+                       solved_edges=solved, pruned_edges=len(edges) - solved)
 
 
 def shortest_path(graph: TimingGraph) -> SamplingPlan:
@@ -115,23 +311,12 @@ def shortest_path(graph: TimingGraph) -> SamplingPlan:
     bit-stable and yields the lexicographically smallest optimal instant
     sequence.
     """
+    def weight(i, j):
+        edge = graph.edges.get((i, j))  # absent edges are skipped
+        return math.inf if edge is None else edge.weight
+
     n = graph.num_nodes
-    dist = [math.inf] * (n + 1)
-    pred = [0] * (n + 1)
-    dist[1] = 0.0
-    for j in range(2, n + 1):
-        best = math.inf
-        best_i = 0
-        for i in range(max(1, j - graph.aoi_bound), j):
-            edge = graph.edges.get((i, j))
-            if edge is None or not edge.feasible or not math.isfinite(dist[i]):
-                continue
-            cand = dist[i] + edge.weight
-            if cand < best:
-                best = cand
-                best_i = i
-        dist[j] = best
-        pred[j] = best_i
+    dist, pred = _distances(n, graph.aoi_bound, weight)
     if not math.isfinite(dist[n]):
         raise NoFeasiblePlanError(
             f"no feasible sampling sequence reaches slot {graph.horizon} "

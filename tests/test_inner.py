@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from bisect import bisect_left
 
@@ -6,6 +7,7 @@ import pytest
 
 from aoiplan import ChannelProfile
 import aoiplan.inner as inner
+from aoiplan.errors import BinaryRoundingError
 from aoiplan.matching import _certificate, _stop_tol
 from aoiplan.inner import (
     Infeasible,
@@ -530,6 +532,26 @@ def test_solve_interval_rejects_mismatched_curves():
     with pytest.raises(ValueError):
         solve_interval(spec, prof, slot_curves(prof.iota[:, :, :2], 2, 5.0))
     assert solve_interval(spec, prof, curves[:2]).energy == solve_interval(spec, prof).energy
+
+
+def test_relaxed_rate_short_of_the_target_raises(monkeypatch):
+    """The relaxed energy never prices a rate below ``(1 - RATE_REL_TOL) *
+    V``, which the timing graph's pruning bound relies on: one-sided limits
+    that both fall short raise instead."""
+    prof = synthetic_profile(3)
+    spec = IntervalSpec(start=1, end=4, rb_cap=1, rate_target=1.0, power_cap=5.0)
+    curves = slot_curves(prof.iota, 1, 5.0)
+    sol = solve_interval(spec, prof, curves)
+    assert all(sol.level < c.slot_cap.level for c in curves)  # every slot asks limits(mu)
+    real = inner.SlotCurve.limits
+
+    def short(self, level):
+        lim = real(self, level)
+        return dataclasses.replace(lim, r_minus=0.5 * lim.r_minus, r_plus=0.5 * lim.r_plus)
+
+    monkeypatch.setattr(inner.SlotCurve, "limits", short)
+    with pytest.raises(BinaryRoundingError):
+        solve_interval(spec, prof, curves)
 
 
 # ---------------------------------------------------------------- closed-form rate brackets
