@@ -41,7 +41,7 @@ from .scenario import (
     save_scenario,
     scenario_digest,
 )
-from .timing import build_graph, export_graph_csv, shortest_path
+from .timing import build_full_graph, build_graph, export_graph_csv, shortest_path
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -154,7 +154,8 @@ def cmd_generate(args) -> int:
 
 def cmd_plan(args) -> int:
     scenario, profile, seed = _load_inputs(args)
-    graph = build_graph(scenario, profile, args.epsilon_theta, rate_margin=args.margin)
+    build = build_full_graph if args.graph_csv else build_graph  # same plan, bit for bit
+    graph = build(scenario, profile, args.epsilon_theta, rate_margin=args.margin)
     if args.graph_csv:
         export_graph_csv(graph, args.graph_csv)
     plan = shortest_path(graph)
@@ -321,7 +322,7 @@ def cmd_oracle(args) -> int:
     else:  # plan
         cap = args.epsilon_theta or scenario.num_rb_K
         check_plan(scenario.horizon_T, scenario.aoi_bound_tau)
-        graph = build_graph(scenario, profile, cap)
+        graph = build_full_graph(scenario, profile, cap)
 
         def weight(i, j):
             return graph.edges[(i, j)].weight

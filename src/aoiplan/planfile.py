@@ -58,6 +58,27 @@ def save_plan(plan: PolicyPlan, path, scenario_digest: str, power_budget: float,
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _field(doc, key, convert, where: str):
+    """``convert(doc[key])``, or a :class:`PlanFormatError` naming the key
+    (JSON reads ``1e400`` as inf, and ``int(inf)`` overflows)."""
+    try:
+        return convert(doc[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise PlanFormatError(f"{where} field {key!r} is missing or malformed: {exc!r}") from exc
+
+
+def _int_pair(values) -> tuple:
+    a, b = values
+    return int(a), int(b)
+
+
+def _entry(rec) -> tuple:
+    """``(rec, bs, rb, slot, power)`` of a 1-based ``[bs, rb, slot, power]``
+    record ``rec``, with bs and rb made 0-based."""
+    n, k, t, p = rec
+    return rec, int(n) - 1, int(k) - 1, int(t), float(p)
+
+
 def load_plan(path) -> tuple[PolicyPlan, dict]:
     """Load a plan file; returns (plan, header dict).
 
@@ -69,21 +90,20 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise PlanFormatError(f"plan file is not valid JSON: {exc}") from exc
-    if doc.get("format") != FORMAT_TAG:
-        raise PlanFormatError(f"unrecognized plan format {doc.get('format')!r}")
+    tag = doc.get("format") if isinstance(doc, dict) else None
+    if tag != FORMAT_TAG:
+        raise PlanFormatError(f"unrecognized plan format {tag!r}")
 
-    try:
-        horizon = int(doc["horizon"])
-        aoi_bound = int(doc["aoi_bound"])
-        rb_cap = int(doc["epsilon_theta"])
-        N, K = (int(x) for x in doc["dims"])
-        power_budget = float(doc["power_budget"])
-        legs_doc = list(doc["legs"])
-        kind = doc["kind"]
-        mode = doc["success_mode"]
-        threshold = float(doc["delivery_threshold"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PlanFormatError(f"plan header incomplete or malformed: {exc}") from exc
+    header = "plan header"
+    horizon = _field(doc, "horizon", int, header)
+    aoi_bound = _field(doc, "aoi_bound", int, header)
+    rb_cap = _field(doc, "epsilon_theta", int, header)
+    N, K = _field(doc, "dims", _int_pair, header)
+    power_budget = _field(doc, "power_budget", float, header)
+    legs_doc = _field(doc, "legs", list, header)
+    kind = _field(doc, "kind", lambda v: v, header)
+    mode = _field(doc, "success_mode", lambda v: v, header)
+    threshold = _field(doc, "delivery_threshold", float, header)
     if mode not in SUCCESS_MODES:
         raise PlanFormatError(f"unknown success_mode {mode!r}; expected one of {SUCCESS_MODES}")
     if horizon < 1:
@@ -99,16 +119,11 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
     )
     prev_end = 1
     for index, leg_doc in enumerate(legs_doc, start=1):
-        try:
-            start, end = int(leg_doc["start"]), int(leg_doc["end"])
-            target, feasible = float(leg_doc["target"]), bool(leg_doc["feasible"])
-            records = []
-            for rec in leg_doc["entries"]:
-                n, k, t, p = rec
-                records.append((rec, int(n) - 1, int(k) - 1, int(t), float(p)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlanFormatError(f"plan leg {index} has a missing or malformed field: {exc}"
-                                  ) from exc
+        where = f"plan leg {index}"
+        start, end = _field(leg_doc, "start", int, where), _field(leg_doc, "end", int, where)
+        target = _field(leg_doc, "target", float, where)
+        feasible = _field(leg_doc, "feasible", bool, where)
+        records = _field(leg_doc, "entries", lambda recs: [_entry(r) for r in recs], where)
         if not math.isfinite(target):
             raise PlanFormatError(f"plan leg {index} target must be a finite number, got {target}")
         if start != prev_end:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,7 @@ class Scenario:
 
 
 # numeric field -> (integer?, least value, least value excluded?); every
-# numeric field must be a finite int or float, and never a bool
+# numeric field must be an int or float within float range, never a bool
 _NUMERIC_FIELDS = {
     "horizon_T": (True, 1, False), "num_bs_N": (True, 1, False),
     "num_rb_K": (True, 1, False), "aoi_bound_tau": (True, 1, False),
@@ -106,7 +107,8 @@ def _collect_violations(s: Scenario) -> list:
     for name, (integer, least, excluded) in _NUMERIC_FIELDS.items():
         x = getattr(s, name)
         typed = isinstance(x, int if integer else (int, float)) and not isinstance(x, bool)
-        if not (typed and (least < x if excluded else least <= x) and x < math.inf):
+        if not (typed and (least < x if excluded else least <= x)
+                and (integer or x <= sys.float_info.max)):
             bad.add(name)
             v.append(f"{name} must be {'an integer' if integer else 'a finite number'} "
                      f"{'>' if excluded else '>='} {least}, got {x!r}")
@@ -148,18 +150,15 @@ def _collect_violations(s: Scenario) -> list:
     return v
 
 
-# Canonical config keys.  Power keys come in exclusive linear/dBm pairs.
-_REQUIRED_KEYS = (
-    "horizon_T", "num_bs_N", "num_rb_K", "aoi_bound_tau",
-    "payload_threshold_vbar", "uav_trajectory", "bs_positions",
-    "carrier_freq_ghz", "shadowing_sigma_db", "shadowing_corr_dist_m",
-    "kappa_range", "master_seed",
-)
-_OPTIONAL_KEYS = ("slot_duration", "kappa_per_slot")
+# Canonical config keys are the Scenario fields.  Power keys come in
+# exclusive linear/dBm pairs; fields with a default are optional.
 _POWER_KEYS = {
     "power_budget_pbar": "power_budget_dbm",
     "noise_power_delta2": "noise_power_dbm",
 }
+_REQUIRED_KEYS = tuple(f.name for f in fields(Scenario)
+                       if f.default is MISSING and f.name not in _POWER_KEYS)
+_OPTIONAL_KEYS = tuple(f.name for f in fields(Scenario) if f.default is not MISSING)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -198,17 +197,18 @@ def parse_scenario(text: str) -> Scenario:
         else:
             try:
                 kwargs[linear_key] = dbm_to_linear_mw(float(doc[dbm_key]))
-            except (TypeError, ValueError) as exc:
-                raise ScenarioParseError(f"key {dbm_key} is not a number") from exc
+            except (TypeError, ValueError, OverflowError) as exc:  # 4000 dBm is 1e400 mW
+                raise ScenarioParseError(f"key {dbm_key} must be a number of dBm whose "
+                                         f"power fits a float, got {doc[dbm_key]!r}") from exc
 
     for key in ("uav_trajectory", "bs_positions"):
         try:
             kwargs[key] = tuple(tuple(float(c) for c in p) for p in kwargs[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioParseError(f"key {key} must be a list of [x, y, z] triples") from exc
     try:
         kwargs["kappa_range"] = tuple(float(c) for c in kwargs["kappa_range"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError("key kappa_range must be a [low, high] pair") from exc
 
     return Scenario(**kwargs)

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .channel import ChannelProfile
@@ -93,7 +92,8 @@ from .inner import (LIMIT_ABS_FLOOR, LIMIT_REL_EPS, LN2, RATE_REL_TOL, UNIT_ROUN
 from .numeric import seq_sum
 from .scenario import Scenario
 
-__all__ = ["TimingGraph", "SamplingPlan", "build_graph", "shortest_path", "export_graph_csv"]
+__all__ = ["TimingGraph", "SamplingPlan", "build_graph", "build_full_graph", "shortest_path",
+           "export_graph_csv"]
 
 RATE_ROUNDING = 2.0 ** -40  # real-vs-float rate of a relaxed allocation, per entry, relative to 1 + V
 
@@ -108,60 +108,27 @@ class Edge:
         return math.isfinite(self.weight)
 
 
-class _Edges(Mapping):
-    """A built graph's edges keyed ``(i, j)``, each solved at most once.
-
-    ``get`` sees only the edges solved so far, which is all that
-    :func:`shortest_path` reads.  Indexing, iteration and ``len`` cover
-    every admissible edge, and indexing solves a missing one with the
-    graph's edge solver.
-    """
-
-    def __init__(self, keys, solve):
-        self._keys = dict.fromkeys(keys)  # admissible edges in a fixed order
-        self._solve = solve
-        self.solved = {}
-
-    def __getitem__(self, key):
-        edge = self.solved.get(key)
-        if edge is None:
-            if key not in self._keys:
-                raise KeyError(key)
-            edge = self.solved[key] = self._solve(*key)
-        return edge
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
-
-    def __contains__(self, key):
-        return key in self._keys
-
-    def get(self, key, default=None):
-        return self.solved.get(key, default)
-
-
 @dataclass
 class TimingGraph:
     """Interval graph over nodes 1..T+1.
 
-    ``solved_edges`` and ``pruned_edges`` count the edges
-    :func:`build_graph` solved and left unsolved; reading every edge
-    solves the rest on demand and leaves both counts as they were.
+    ``edges`` holds the solved edges only: every admissible one after
+    :func:`build_full_graph`, and those a shortest path can use after
+    :func:`build_graph`.
     """
 
     horizon: int
     aoi_bound: int
     rb_cap: int
-    edges: Mapping = field(default_factory=dict)  # (i, j) -> Edge
-    solved_edges: int = 0
-    pruned_edges: int = 0
+    edges: dict = field(default_factory=dict)  # (i, j) -> Edge
 
     @property
-    def num_nodes(self) -> int:
-        return self.horizon + 1
+    def solved_edges(self) -> int:
+        return len(self.edges)
+
+    @property
+    def pruned_edges(self) -> int:
+        return sum(1 for _ in _edge_targets(self.horizon, self.aoi_bound)) - len(self.edges)
 
 
 @dataclass
@@ -198,6 +165,31 @@ def _edge_targets(horizon: int, aoi_bound: int):
             yield (i, i + gap)
 
 
+class _EdgeSolver:
+    """Called with ``(i, j)``, solves that edge into the dict ``edges``.
+    The horizon's slot curves are built once, so each slot's cap level is
+    solved once and its kernel rates are shared by every interval through
+    it (:class:`~aoiplan.inner.SlotCurve`).  An infeasible interval is an
+    infinite-weight edge, never a failure."""
+
+    def __init__(self, scenario: Scenario, profile: ChannelProfile, rb_cap: int,
+                 rate_margin: float):
+        self.profile, self.rb_cap = profile, rb_cap
+        self.power_cap = scenario.power_budget_pbar
+        self.target = scenario.payload_threshold_vbar * rate_margin
+        self.curves = slot_curves(profile.iota[:, :, :scenario.horizon_T], rb_cap,
+                                  self.power_cap)
+        self.edges = {}
+
+    def __call__(self, i: int, j: int) -> Edge:
+        spec = IntervalSpec(start=i, end=j, rb_cap=self.rb_cap, rate_target=self.target,
+                            power_cap=self.power_cap)
+        sol = solve_interval(spec, self.profile, self.curves[i - 1 : j - 1])
+        edge = self.edges[(i, j)] = Edge(
+            weight=math.inf if isinstance(sol, Infeasible) else sol.energy, solution=sol)
+        return edge
+
+
 def _edge_floor(slots, mu: float, target: float, power_cap: float) -> float:
     """``B_M`` of the module docstring for a maximal edge over ``slots``
     solved at level ``mu``: a floor under the computed weight of every
@@ -220,8 +212,9 @@ def _edge_floor(slots, mu: float, target: float, power_cap: float) -> float:
 
 
 def _distances(n: int, tau: int, cost) -> tuple:
-    """Forward DP from node 1 over ``cost(i, j)``: (distances, predecessors),
-    ties broken toward the earlier predecessor; an infinite cost is no edge."""
+    """Forward DP from node 1 over ``cost(i, j)``: (distances, nodes of the
+    path 1 -> n, or None without one), ties broken toward the earlier
+    predecessor; an infinite cost is no edge."""
     dist = [math.inf] * (n + 1)
     pred = [0] * (n + 1)
     dist[1] = 0.0
@@ -230,78 +223,76 @@ def _distances(n: int, tau: int, cost) -> tuple:
             c = dist[i] + cost(i, j)
             if c < dist[j]:
                 dist[j], pred[j] = c, i
-    return dist, pred
+    if not math.isfinite(dist[n]):
+        return dist, None
+    path = [n]
+    while path[-1] != 1:
+        path.append(pred[path[-1]])
+    return dist, path[::-1]
 
 
-def _solve_lazily(edges: _Edges, floors: dict, n: int, tau: int) -> None:
-    """Solve the edges a shortest path over nodes 1..n can use (see the
+def _solve_lazily(edges: dict, solve, floors: dict, horizon: int, tau: int) -> None:
+    """Solve into ``edges`` the edges a shortest path can use (see the
     module docstring); the others keep their floors and stay unsolved."""
     def cost(i, j):
         edge = edges.get((i, j))
         return floors.get((i, j), 0.0) if edge is None else edge.weight
 
+    n = horizon + 1
     while True:
-        dist, pred = _distances(n, tau, cost)
-        if not math.isfinite(dist[n]):
+        dist, path = _distances(n, tau, cost)
+        if path is None:
             return  # no path: the eager graph has none either
-        path = [n]
-        while path[-1] != 1:
-            path.append(pred[path[-1]])
-        todo = [(i, j) for j, i in zip(path, path[1:]) if (i, j) not in edges.solved]
+        todo = [leg for leg in zip(path, path[1:]) if leg not in edges]
         if not todo:
             break
-        for key in todo:
-            edges[key]  # indexing solves the edge
+        for key in reversed(todo):  # last leg first: the order decides each curve's hints
+            solve(*key)
     # distances to n, as a forward DP over the mirrored graph
     back = _distances(n, tau, lambda i, j: cost(n + 1 - j, n + 1 - i))[0]
     limit = dist[n] + dist[n] * (4 * (n + 1) * UNIT_ROUNDOFF)
-    for i, j in edges:
-        if (i, j) not in edges.solved and dist[i] + cost(i, j) + back[n + 1 - j] <= limit:
-            edges[(i, j)]
+    for i, j in _edge_targets(horizon, tau):
+        if (i, j) not in edges and dist[i] + cost(i, j) + back[n + 1 - j] <= limit:
+            solve(i, j)
 
 
 def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
                 jobs: int = 1, rate_margin: float = 1.0) -> TimingGraph:
     """Assemble the timing graph, solving only the edges a shortest path
-    can use (see the module docstring).
+    can use (see the module docstring); its plan is the one of
+    :func:`build_full_graph`, bit for bit.
 
-    Each slot's cap level is solved once and its kernel rates are shared
-    by every interval through it (:class:`~aoiplan.inner.SlotCurve`).
-    Infeasible intervals become infinite-weight edges, never failures.
-    The graph's ``edges`` solve the pruned ones on first access with the
-    same solver and curves.  Edges are solved one after another; ``jobs``
-    stays only for callers that pass ``jobs=1``, and any other value
-    raises :class:`ValueError`.
+    Edges are solved one after another; ``jobs`` stays only for callers
+    that pass ``jobs=1``, and any other value raises :class:`ValueError`.
     """
     if jobs != 1:
         raise ValueError(f"edges are solved serially; jobs must be 1, got {jobs!r}")
     T, tau = scenario.horizon_T, scenario.aoi_bound_tau
-    power_cap = scenario.power_budget_pbar
-    target = scenario.payload_threshold_vbar * rate_margin
-    curves = slot_curves(profile.iota[:, :, :T], rb_cap, power_cap)
-
-    def solve(i, j):
-        spec = IntervalSpec(start=i, end=j, rb_cap=rb_cap, rate_target=target,
-                            power_cap=power_cap)
-        sol = solve_interval(spec, profile, curves[i - 1 : j - 1])
-        return Edge(weight=math.inf if isinstance(sol, Infeasible) else sol.energy,
-                    solution=sol)
-
-    edges = _Edges(_edge_targets(T, tau), solve)
+    solve = _EdgeSolver(scenario, profile, rb_cap, rate_margin)
     L = min(tau, T)
     floors = {}
     for a in range(1, T + 2 - L):
-        sol = edges[(a, a + L)].solution
+        sol = solve(a, a + L).solution
         if isinstance(sol, Infeasible) or not sol.level > 0.0:
             continue  # no floor beyond the weights' own 0
-        floor = _edge_floor(curves[a - 1 : a - 1 + L], sol.level, target, power_cap)
+        floor = _edge_floor(solve.curves[a - 1 : a - 1 + L], sol.level, solve.target,
+                            solve.power_cap)
         for i in range(a, a + L):
             for j in range(i + 1, a + L + 1):
                 floors[(i, j)] = max(floor, floors.get((i, j), 0.0))
-    _solve_lazily(edges, floors, T + 1, tau)
-    solved = len(edges.solved)
-    return TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap, edges=edges,
-                       solved_edges=solved, pruned_edges=len(edges) - solved)
+    _solve_lazily(solve.edges, solve, floors, T, tau)
+    return TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap, edges=solve.edges)
+
+
+def build_full_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
+                     rate_margin: float = 1.0) -> TimingGraph:
+    """The timing graph with every admissible edge solved, for readers
+    that need them all, such as :func:`export_graph_csv`."""
+    T, tau = scenario.horizon_T, scenario.aoi_bound_tau
+    solve = _EdgeSolver(scenario, profile, rb_cap, rate_margin)
+    for key in _edge_targets(T, tau):
+        solve(*key)
+    return TimingGraph(horizon=T, aoi_bound=tau, rb_cap=rb_cap, edges=solve.edges)
 
 
 def shortest_path(graph: TimingGraph) -> SamplingPlan:
@@ -315,31 +306,18 @@ def shortest_path(graph: TimingGraph) -> SamplingPlan:
         edge = graph.edges.get((i, j))  # absent edges are skipped
         return math.inf if edge is None else edge.weight
 
-    n = graph.num_nodes
-    dist, pred = _distances(n, graph.aoi_bound, weight)
-    if not math.isfinite(dist[n]):
+    _, nodes = _distances(graph.horizon + 1, graph.aoi_bound, weight)
+    if nodes is None:
         raise NoFeasiblePlanError(
             f"no feasible sampling sequence reaches slot {graph.horizon} "
             f"within freshness bound {graph.aoi_bound}"
         )
-    nodes = [n]
-    while nodes[-1] != 1:
-        nodes.append(pred[nodes[-1]])
-    nodes.reverse()
-    solutions = tuple(graph.edges[(i, j)].solution for i, j in zip(nodes[:-1], nodes[1:]))
-    total = 0.0
-    for i, j in zip(nodes[:-1], nodes[1:]):
-        total += graph.edges[(i, j)].weight
-    # weight-only graphs (no attached solutions) fall back to the edge weights
-    binary = seq_sum(
-        s.binary_energy if s is not None else graph.edges[leg].weight
-        for leg, s in zip(zip(nodes[:-1], nodes[1:]), solutions)
-    )
+    legs = [graph.edges[leg] for leg in zip(nodes, nodes[1:])]
     return SamplingPlan(
         instants=tuple(nodes[:-1]),
-        total_energy=total,
-        binary_energy=float(binary),
-        solutions=solutions,
+        total_energy=seq_sum(e.weight for e in legs),
+        binary_energy=seq_sum(e.solution.binary_energy for e in legs),
+        solutions=tuple(e.solution for e in legs),
         horizon=graph.horizon,
         aoi_bound=graph.aoi_bound,
         rb_cap=graph.rb_cap,
@@ -351,6 +329,5 @@ def export_graph_csv(graph: TimingGraph, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["start", "end", "weight"])
-        for (i, j) in sorted(graph.edges):
-            e = graph.edges[(i, j)]
+        for (i, j), e in sorted(graph.edges.items()):
             writer.writerow([i, j, "INF" if not e.feasible else f"{e.weight:.9g}"])

@@ -49,7 +49,7 @@ from aoiplan.sim import (
     baseline_periodic,
     expected_trace,
 )
-from aoiplan.timing import build_graph, shortest_path
+from aoiplan.timing import build_full_graph, build_graph, shortest_path
 
 from conftest import desk_scenario, synthetic_profile
 
@@ -167,10 +167,11 @@ def test_criterion_3_timing_optimality():
         )
         vbar = float(rng.uniform(0.2, 0.9)) * slot_max
         s = dataclasses.replace(s, payload_threshold_vbar=max(vbar, 1e-9))
-        graph = build_graph(s, prof, cap)
-        plan = shortest_path(graph)
+        # the planner's pruned graph against an enumeration of every edge
+        plan = shortest_path(build_graph(s, prof, cap))
+        full = build_full_graph(s, prof, cap)
         _inst, energy, _count = oracle_plan(
-            T, tau, lambda i, j: graph.edges[(i, j)].weight
+            T, tau, lambda i, j: full.edges[(i, j)].weight
         )
         assert math.isclose(plan.total_energy, energy, rel_tol=1e-12), trial
         verified += 1

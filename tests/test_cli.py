@@ -10,7 +10,7 @@ from aoiplan import build_profile, pareto
 from aoiplan.channel import save_profile
 from aoiplan.cli import _build_parser, main
 from aoiplan.scenario import load_scenario, save_scenario, scenario_digest
-from aoiplan.timing import build_graph, export_graph_csv, shortest_path
+from aoiplan.timing import build_full_graph, build_graph, export_graph_csv, shortest_path
 
 from conftest import desk_scenario
 
@@ -128,7 +128,7 @@ def test_plan_graph_csv_is_the_library_export(tmp_path, desk_files):
     assert main(["plan", "--scenario", scen, "--profile", profp,
                  "--epsilon-theta", "2", "--graph-csv", str(out)]) == 0
     want = tmp_path / "want.csv"
-    export_graph_csv(build_graph(s, prof, 2), want)
+    export_graph_csv(build_full_graph(s, prof, 2), want)
     assert out.read_bytes() == want.read_bytes()
 
 

@@ -16,7 +16,7 @@ from aoiplan.errors import AoiPlanError, NoFeasiblePlanError
 from aoiplan.inner import Infeasible, IntervalSpec, solve_interval
 from aoiplan.oracle import oracle_inner, oracle_plan_from_profile
 from aoiplan.sim import age_aware_plan, simulate
-from aoiplan.timing import build_graph, shortest_path
+from aoiplan.timing import build_full_graph, build_graph, shortest_path
 
 from conftest import desk_scenario
 
@@ -63,8 +63,7 @@ def test_degenerate_inputs_plan_and_simulate_like_the_oracles(name, scenario, pr
     s = _sized(scenario, profile, cap)
     T, tau = s.horizon_T, s.aoi_bound_tau
 
-    graph = build_graph(s, profile, cap)
-    for (i, j), edge in graph.edges.items():
+    for (i, j), edge in build_full_graph(s, profile, cap).edges.items():
         spec = IntervalSpec(start=i, end=j, rb_cap=cap, rate_target=s.payload_threshold_vbar,
                             power_cap=s.power_budget_pbar)
         ref = oracle_inner(spec, profile)
@@ -75,7 +74,7 @@ def test_degenerate_inputs_plan_and_simulate_like_the_oracles(name, scenario, pr
             assert math.isclose(edge.weight, ref, rel_tol=1e-3), (name, i, j, edge.weight, ref)
             assert edge.solution.expected_rate >= s.payload_threshold_vbar * (1.0 - 1e-9)
 
-    plan = shortest_path(graph)
+    plan = shortest_path(build_graph(s, profile, cap))
     _, oracle_energy = oracle_plan_from_profile(s, profile, cap)
     assert math.isclose(plan.total_energy, oracle_energy, rel_tol=1e-3), (name, plan, oracle_energy)
     assert plan.instants[0] == 1

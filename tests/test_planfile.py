@@ -47,6 +47,9 @@ def test_rejects_wrong_format_tag(saved_plan, tmp_path):
     bad = _mutate(path, tmp_path, lambda d: d.update(format="other"))
     with pytest.raises(PlanFormatError):
         load_plan(bad)
+    bad.write_text("[1]")  # valid JSON, but not an object
+    with pytest.raises(PlanFormatError, match="unrecognized plan format None"):
+        load_plan(bad)
 
 
 def test_rejects_gap_beyond_bound(saved_plan, tmp_path):
@@ -116,6 +119,27 @@ def test_rejects_missing_or_short_leg_fields(saved_plan, tmp_path, breakage):
 
     bad = _mutate(path, tmp_path, damage)
     with pytest.raises(PlanFormatError):
+        load_plan(bad)
+
+
+@pytest.mark.parametrize("field", ["horizon", "aoi_bound", "dims", "start", "entries"])
+def test_rejects_integers_that_overflow(saved_plan, tmp_path, field):
+    """JSON reads 1e400 as inf, which no integer field can take."""
+    *_, path = saved_plan
+
+    def overflow(doc):
+        if field in ("horizon", "aoi_bound"):
+            doc[field] = "INF"
+        elif field == "dims":
+            doc["dims"][0] = "INF"
+        elif field == "start":
+            doc["legs"][0]["start"] = "INF"
+        else:
+            doc["legs"][0]["entries"][0][0] = "INF"
+
+    bad = _mutate(path, tmp_path, overflow)
+    bad.write_text(bad.read_text().replace('"INF"', "1e400"))
+    with pytest.raises(PlanFormatError, match=f"field '{field}' .*OverflowError"):
         load_plan(bad)
 
 

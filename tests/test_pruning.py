@@ -1,15 +1,13 @@
 """Pruned timing graphs against all-edges graphs, and the dual bound that
 makes the pruning safe.
 
-The all-edges graph here is built the way ``build_graph`` built every
-graph before it pruned: one solve per admissible edge over shared slot
-curves.  scipy's ``linear_sum_assignment`` recomputes the slot matching
-costs of the dual bound as an independent referee; the package itself
-never imports scipy.
+The all-edges graph is ``build_full_graph``'s: one solve per admissible
+edge over shared slot curves.  scipy's ``linear_sum_assignment``
+recomputes the slot matching costs of the dual bound as an independent
+referee; the package itself never imports scipy.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -17,35 +15,21 @@ from scipy.optimize import linear_sum_assignment
 
 from aoiplan import ChannelProfile, build_profile
 from aoiplan.errors import NoFeasiblePlanError
-from aoiplan.inner import (LN2, Infeasible, IntervalSpec, assignment_weights, dual_bound,
-                           slot_curves, solve_interval)
+from aoiplan.inner import (LN2, IntervalSpec, assignment_weights, dual_bound, slot_curves,
+                           solve_interval)
 from aoiplan.oracle import oracle_inner
 from aoiplan.scenario import default_patrol_scenario
-from aoiplan.timing import Edge, TimingGraph, build_graph, shortest_path
+from aoiplan.timing import build_full_graph, build_graph, shortest_path
 
 from conftest import desk_scenario, synthetic_profile
-
-
-def _all_edges_graph(scenario, profile, cap):
-    T, tau, pbar = scenario.horizon_T, scenario.aoi_bound_tau, scenario.power_budget_pbar
-    curves = slot_curves(profile.iota[:, :, :T], cap, pbar)
-    graph = TimingGraph(horizon=T, aoi_bound=tau, rb_cap=cap)
-    for gap in range(1, tau + 1):
-        for i in range(1, T + 2 - gap):
-            spec = IntervalSpec(start=i, end=i + gap, rb_cap=cap,
-                                rate_target=scenario.payload_threshold_vbar, power_cap=pbar)
-            sol = solve_interval(spec, profile, curves[i - 1 : i - 1 + gap])
-            weight = math.inf if isinstance(sol, Infeasible) else sol.energy
-            graph.edges[(i, i + gap)] = Edge(weight=weight, solution=sol)
-    return graph
 
 
 def _assert_plans_equal(scenario, profile, cap):
     """The pruned graph plans bit for bit as the all-edges graph, or both
     raise; returns the pruned graph."""
     pruned = build_graph(scenario, profile, cap)
-    eager = _all_edges_graph(scenario, profile, cap)
-    for key, edge in pruned.edges.solved.items():
+    eager = build_full_graph(scenario, profile, cap)
+    for key, edge in pruned.edges.items():
         assert edge.weight == eager.edges[key].weight, key
     try:
         want = shortest_path(eager)
@@ -137,20 +121,21 @@ def test_table1_counts_are_pinned_and_repeat():
     assert counts == [(57, 177)] * 2
 
 
-def test_edges_solve_on_demand_without_moving_the_counts(small_scenario, small_profile):
-    graph = build_graph(small_scenario, small_profile, 2)
-    eager = _all_edges_graph(small_scenario, small_profile, 2)
-    solved, pruned = graph.solved_edges, graph.pruned_edges
-    assert pruned > 0 and solved + pruned == len(graph.edges) == len(eager.edges)
-    missing = next(k for k in eager.edges if k not in graph.edges.solved)
-    assert missing in graph.edges and graph.edges.get(missing) is None
-    assert graph.edges[missing].weight == eager.edges[missing].weight
-    assert {k: e.weight for k, e in graph.edges.items()} == {
-        k: e.weight for k, e in eager.edges.items()}
-    assert len(graph.edges.solved) == len(graph.edges)
-    assert (graph.solved_edges, graph.pruned_edges) == (solved, pruned)
-    with pytest.raises(KeyError):
-        graph.edges[(1, 1 + small_scenario.aoi_bound_tau + 1)]
+def test_graphs_hold_only_their_solved_edges():
+    """The pruned graph holds the edges it solved, each weighing what the
+    full graph's does; the full graph holds every admissible edge."""
+    scenario = default_patrol_scenario(1)
+    profile = build_profile(scenario, 1)
+    graph = build_graph(scenario, profile, 4)
+    full = build_full_graph(scenario, profile, 4)
+    admissible = {(i, i + gap) for gap in range(1, 5) for i in range(1, 62 - gap)}  # T=60, tau=4
+    assert graph.edges.keys() <= admissible
+    assert len(graph.edges) == graph.solved_edges
+    assert (graph.solved_edges, graph.pruned_edges) == (57, 177)
+    assert full.edges.keys() == admissible
+    assert (full.solved_edges, full.pruned_edges) == (234, 0)
+    for key, edge in graph.edges.items():
+        assert edge.weight == full.edges[key].weight, key
 
 
 # ------------------------------------------------------------------ dual bound
@@ -196,7 +181,7 @@ def test_dual_bound_is_tight_on_every_feasible_k16_edge(cap):
     scenario = default_patrol_scenario(2, horizon=9)
     profile = build_profile(scenario, 2)
     V, P = scenario.payload_threshold_vbar, scenario.power_budget_pbar
-    graph = build_graph(scenario, profile, cap)
+    graph = build_full_graph(scenario, profile, cap)
     curves = slot_curves(profile.iota[:, :, :scenario.horizon_T], cap, P)
     feasible = 0
     for (i, j), edge in graph.edges.items():

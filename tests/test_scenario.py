@@ -159,6 +159,24 @@ def test_coordinates_must_be_finite_numbers(tmp_path, capsys):
     assert "bs_positions[0] coordinates must be finite numbers" in str(err.value)
 
 
+def test_numbers_beyond_float_range_exit_2(tmp_path, capsys):
+    """A dBm power whose linear value overflows, or a float field written
+    as an integer beyond float range, is a typed error naming the key."""
+    scen = tmp_path / "s.json"
+    for key, value in (("power_budget_dbm", "4000"), ("noise_power_dbm", "4000"),
+                       ("carrier_freq_ghz", "1" + "0" * 400),
+                       ("payload_threshold_vbar", "1" + "0" * 400)):
+        doc = scenario_to_dict(desk_scenario(2))
+        doc.pop({"power_budget_dbm": "power_budget_pbar",
+                 "noise_power_dbm": "noise_power_delta2"}.get(key, key))
+        doc[key] = "VALUE"
+        scen.write_text(json.dumps(doc).replace('"VALUE"', value))
+        capsys.readouterr()
+        assert main(["generate", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_kappa_floor_enforced():
     with pytest.raises(ScenarioValidationError) as err:
         desk_scenario(1, kappa_range=(0.0, 30.0))

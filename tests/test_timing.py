@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,20 +11,23 @@ from aoiplan.inner import Infeasible, IntervalSpec, solve_interval
 from aoiplan.oracle import oracle_plan
 from aoiplan.pareto import compute_frontier
 from aoiplan.sim import expected_trace, policy_plan_from_sampling
-from aoiplan.timing import Edge, TimingGraph, build_graph, export_graph_csv, shortest_path
+from aoiplan.timing import (Edge, TimingGraph, build_full_graph, build_graph, export_graph_csv,
+                            shortest_path)
 
 from conftest import desk_scenario
 
 
 def graph_from_weights(horizon, aoi_bound, weights):
+    """A graph of the given weights; each edge's stand-in solution spends
+    its weight as binary energy."""
     g = TimingGraph(horizon=horizon, aoi_bound=aoi_bound, rb_cap=1)
     for (i, j), w in weights.items():
-        g.edges[(i, j)] = Edge(weight=w, solution=None)
+        g.edges[(i, j)] = Edge(weight=w, solution=SimpleNamespace(binary_energy=w))
     return g
 
 
 def test_edge_count_formula(small_scenario, small_profile):
-    g = build_graph(small_scenario, small_profile, rb_cap=2)
+    g = build_full_graph(small_scenario, small_profile, rb_cap=2)
     T, tau = small_scenario.horizon_T, small_scenario.aoi_bound_tau
     assert len(g.edges) == sum(T + 1 - c for c in range(1, tau + 1))
     for (i, j) in g.edges:
@@ -36,14 +40,14 @@ def test_edge_count_formula(small_scenario, small_profile):
 def test_full_bound_edge_count_is_triangular():
     s = desk_scenario(12, T=5, tau=5, vbar=1.0)
     prof = build_profile(s, 12)
-    g = build_graph(s, prof, rb_cap=2)
+    g = build_full_graph(s, prof, rb_cap=2)
     assert len(g.edges) == 5 * 6 // 2
 
 
 def test_unit_bound_graph_has_single_path():
     s = desk_scenario(13, T=5, tau=1, vbar=1.0)
     prof = build_profile(s, 13)
-    g = build_graph(s, prof, rb_cap=2)
+    g = build_full_graph(s, prof, rb_cap=2)
     assert len(g.edges) == s.horizon_T
     plan = shortest_path(g)
     assert plan.instants == tuple(range(1, s.horizon_T + 1))
@@ -52,7 +56,8 @@ def test_unit_bound_graph_has_single_path():
 def test_deep_fade_marks_all_edges_infeasible():
     s = desk_scenario(14, T=4, tau=2, vbar=1e6)
     prof = build_profile(s, 14)
-    g = build_graph(s, prof, rb_cap=s.num_rb_K)
+    g = build_full_graph(s, prof, rb_cap=s.num_rb_K)
+    assert len(g.edges) == 4 + 3
     assert all(not e.feasible for e in g.edges.values())
     with pytest.raises(NoFeasiblePlanError):
         shortest_path(g)
@@ -142,7 +147,7 @@ def test_expected_rate_success_never_exceeds_bound(small_scenario, small_profile
 def test_shared_slot_curves_match_standalone_solves(small_scenario, small_profile, cap):
     s = small_scenario
     assert cap <= s.num_rb_K
-    g = build_graph(s, small_profile, rb_cap=cap)
+    g = build_full_graph(s, small_profile, rb_cap=cap)
     for (i, j), edge in g.edges.items():
         spec = IntervalSpec(start=i, end=j, rb_cap=cap, rate_target=s.payload_threshold_vbar,
                             power_cap=s.power_budget_pbar)
