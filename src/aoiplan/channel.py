@@ -398,7 +398,11 @@ def replica_generators(seed: int, start: int, stop: int) -> list:
 # ----------------------------------------------------------------------
 
 def save_profile(profile: ChannelProfile, path) -> None:
-    """Write the profile as an .npz tensor dump (lossless round trip)."""
+    """Write the profile as an .npz tensor dump (lossless round trip); a
+    seed outside ``[0, 2**63)`` raises :class:`ScenarioValidationError`."""
+    if profile.seed is not None and not 0 <= profile.seed < 2**63:  # stored as an int64
+        raise ScenarioValidationError([f"seed {profile.seed} is outside 0 .. 2**63 - 1, "
+                                       "the seeds a profile file stores"])
     np.savez(
         path,
         gain=profile.gain,

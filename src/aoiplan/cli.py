@@ -145,8 +145,8 @@ def cmd_generate(args) -> int:
     out.mkdir(exist_ok=True)  # a missing parent raises OSError: exit 4
     scen_path = out / "scenario.json"
     prof_path = out / "profile.npz"
+    channel.save_profile(profile, prof_path)  # rejects a seed it cannot store
     save_scenario(scenario, scen_path)
-    channel.save_profile(profile, prof_path)
     print(f"scenario: {scen_path}")
     print(f"profile:  {prof_path} (seed {seed})")
     return EXIT_OK

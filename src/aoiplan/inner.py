@@ -145,6 +145,55 @@ scale.  An exact hit is reused as is, since the kernel is deterministic;
 mixed values and the limits' values at mu never serve as bounds (a
 limit's two sides are recorded at their own levels), and a side with no
 recorded level is unbounded, so the slot gets asked.
+
+Interval floors.  :func:`interval_floor` floors the computed energy of
+every interval inside an interval M of L slots solved at water level mu:
+
+  * The Lagrangian of the inner problem at mu and slot levels ``l_t =
+    min(mu, cap level of slot t)`` prices an allocation of slot t by
+    ``(mu/l_t)*power - ln2*mu*rate``.  Its minimum over the slot's
+    time-shared matchings is ``(mu/l_t)*C_t(l_t)``, where ``C_t`` is the
+    exact minimum matching cost under the weights at ``l_t`` (each
+    entry's best power is water-filling at ``l_t``).  Summing over M's
+    slots, any allocation x with rate R and per-slot powers
+    ``P_t(x) <= P + d_t`` spends
+
+        E(x) >= D(mu) - ln2*mu*(V - R) - sum_t (mu/l_t - 1)*d_t,
+
+    with D the dual of :func:`dual_bound` (weak duality; time-sharing
+    closes the gap, Yu and Lui, IEEE Trans. Commun. 2006).  D is
+    certified: ``C_t`` is the kernel's cost lowered by its ``K*stop_tol``
+    and rounding, and D is lowered by its own rounding.
+  * An interval e inside M is such an allocation with M's other slots
+    silent: they spend nothing and carry nothing, and ``C_t <= 0``.  The
+    solver's relaxed allocation for e mixes per slot two selections
+    water-filled at one level.  Its float rate is at least
+    ``V*(1 - RATE_REL_TOL)``, since :func:`solve_interval` raises rather
+    than return less.  Where its real rate falls short of V, it is within
+    ``RATE_ROUNDING*n*(1 + V)`` of the float one, for its ``n <= 2*L*K``
+    mixed entries: each log2 errs by the few ulps of the closed-form
+    brackets above, and each sum of non-negative terms by ``n*u``
+    relative.
+  * A slot at or above its cap level spends the cap's mix, which the cap
+    bisection leaves a rounding above P.  A slot below it spends at most
+    the cap's plus side plus ``2*K*eps``, with eps the one-sided limits'
+    offset at the cap level.  Three facts give this.  The exact optimum's
+    power is non-decreasing in the level: at levels ``a < b`` with optima
+    x and y, optimality at each level gives ``(b - a)*(R(y) - R(x)) >=
+    0``, and then ``P(y) - P(x) >= ln2*a*(R(y) - R(x)) >= 0``.  Each
+    selection in the slot's mix is optimal at a level within eps of the
+    slot's level and at most the cap level plus eps.  Moving a
+    selection's level by eps moves its power by at most ``K*eps``.  This
+    step takes the kernel's selections as the exact optima; the dual
+    tests check the bound it gives.  So ``d_t`` is the larger of the two
+    powers less P.  Only slots with ``mu > l_t`` count.
+  * The computed energy passes each real power through at most
+    ``K + L + 3`` roundings of non-negative numbers, so it is at least
+    ``1 - 2*(K + L + 4)*u`` times the real one.
+
+Hence every interval inside M costs at least ``B_M = D - ln2*mu*(V*RATE_REL_TOL
++ RATE_ROUNDING*2*L*K*(1 + V)) - sum_t (mu/l_t - 1)*d_t -
+2*(K + L + 4)*u*|D|``, and at least 0: the floor is ``max(B_M, 0)``.
 """
 
 from __future__ import annotations
@@ -171,6 +220,7 @@ PIECE_FLOOR_GUARD = 1e-6   # relative band below a piece that must hold no floor
 PIECE_ROUNDING = 2.0 ** -40  # piece margin for rounding, per RB, relative to level and max|w|
 LIMIT_REL_EPS = 1e-7    # one-sided limit offset, relative to the level
 LIMIT_ABS_FLOOR = 1e-12  # one-sided limit offset near level 0
+RATE_ROUNDING = 2.0 ** -40  # real-vs-float rate of a relaxed allocation, per entry, relative to 1 + V
 UNIT_ROUNDOFF = 2.0 ** -53
 LOG2_ULPS = 4  # assumed worst error of numpy's and libm's log2, in ulps
 
@@ -185,6 +235,7 @@ __all__ = [
     "slot_curves",
     "solve_interval",
     "dual_bound",
+    "interval_floor",
 ]
 
 
@@ -222,20 +273,16 @@ class InnerSolution:
     """Binary transmission plan for one interval plus optimality diagnostics.
 
     ``energy`` is the relaxed (mixed) optimum used as the timing-graph edge
-    weight; ``binary_energy`` is what the exported plan actually spends.
-    ``slot_levels`` are the binary plan's per-slot water levels, so active
-    powers equal [slot_level - floor]+ entrywise.  ``level`` is the relaxed
-    solve's global water level mu; ``ln2 * level`` is the marginal energy
-    per unit of payload, and :func:`dual_bound` evaluates at it.
+    weight; ``binary_energy`` is what the exported plan, water-filled at one
+    level per slot, actually spends.  ``level`` is the relaxed solve's
+    global water level mu; ``ln2 * level`` is the marginal energy per unit
+    of payload, and :func:`dual_bound` evaluates at it.
     """
 
     assignment: np.ndarray   # (N, K, L) of {0, 1}
     power: np.ndarray        # (N, K, L), zero off the assignment
     energy: float
     binary_energy: float
-    expected_rate: float     # binary plan rate, >= target
-    slot_levels: np.ndarray  # (L,)
-    mix: np.ndarray          # (L,) mixing coefficients of the relaxed solve
     level: float             # global water level of the relaxed solve
 
 
@@ -286,6 +333,11 @@ def _slot_state(level, iota2d, cap, hint=None, priced=False):
 
 def _same(a, b) -> bool:
     return a is b or a.tobytes() == b.tobytes()
+
+
+def _limit_offset(level: float) -> float:
+    """How far either side of ``level`` the one-sided limits are taken."""
+    return max(abs(level) * LIMIT_REL_EPS, LIMIT_ABS_FLOOR)
 
 
 def _bisect(lo: float, hi: float, reaches, rel: float = BRACKET_REL_TOL,
@@ -449,7 +501,7 @@ class SlotCurve:
         sides coincide.
         """
         power, rate = water_fill(level, self.iota2d)
-        eps = max(abs(level) * LIMIT_REL_EPS, LIMIT_ABS_FLOOR)
+        eps = _limit_offset(level)
         sides = []
         for side in (level - eps, level + eps):
             sel = self.state(side)[0].astype(bool)
@@ -565,7 +617,7 @@ def dual_bound(slots, mu: float, rate_target: float, power_cap: float) -> float:
 
     with ``l_t = min(mu, cap level of slot t)`` and ``C_t`` the slot's
     :meth:`SlotCurve.cost_floor`, lowered by the rounding of the sum (see
-    :mod:`aoiplan.timing`, whose pruning rests on it).
+    :func:`interval_floor`, which rests on it).
     """
     terms = [LN2 * mu * rate_target]
     size = terms[0]
@@ -576,6 +628,26 @@ def dual_bound(slots, mu: float, rate_target: float, power_cap: float) -> float:
         terms.append(ratio * cost - (ratio - 1.0) * power_cap)
         size += ratio * (abs(cost) + power_cap)
     return seq_sum(terms) - 2.0 * (len(terms) + 8) * UNIT_ROUNDOFF * size
+
+
+def interval_floor(slots, mu: float, target: float, power_cap: float) -> float:
+    """``max(B_M, 0)`` of the module docstring for an interval M over the
+    slot curves ``slots`` whose relaxed solve ended at level ``mu > 0``: a
+    floor under the computed energy of every interval inside M."""
+    K, L = slots[0].iota2d.shape[1], len(slots)
+    dual = dual_bound(slots, mu, target, power_cap)
+    short = RATE_REL_TOL * target + RATE_ROUNDING * 2 * L * K * (1.0 + target)
+    over = 0.0
+    for slot in slots:
+        cap = slot.slot_cap
+        if mu > cap.level:
+            lim = cap.limits
+            spent = max((1.0 - cap.xi) * lim.p_minus + cap.xi * lim.p_plus,
+                        lim.p_plus + 2 * K * _limit_offset(cap.level))
+            excess = spent * (1.0 + 2 * (K + 4) * UNIT_ROUNDOFF) - power_cap
+            over += (mu / cap.level - 1.0) * max(excess, 0.0)
+    floor = dual - LN2 * mu * short - over - 2 * (K + L + 4) * UNIT_ROUNDOFF * abs(dual)
+    return max(floor, 0.0)
 
 
 def _reaches(slots, mu: float, target: float) -> bool:
@@ -641,10 +713,9 @@ class _FrozenSupport:
 def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
     """Min-energy capped water-filling with frozen per-slot supports.
 
-    Returns (slot_levels, energy, rate) or None when the supports cannot
-    carry the target under the per-slot power caps.  The bisection
-    decides each step with :func:`_reaches`; the rate is the slots' float
-    rates added slot after slot.
+    Returns (slot_levels, energy) or None when the supports cannot carry
+    the target under the per-slot power caps.  The bisection decides each
+    step with :func:`_reaches`.
     """
     slots = [_FrozenSupport(iota3d[:, :, t][sup], power_cap) for t, sup in enumerate(supports)]
     cap_levels = np.array([slot.cap_level for slot in slots])
@@ -659,7 +730,7 @@ def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
     levels = np.minimum(mu, cap_levels)
     energy = seq_sum(float(np.maximum(0.0, level - slot.floors).sum())
                      for level, slot in zip(levels, slots))
-    return levels, energy, seq_sum(slot.rate(mu) for slot in slots)
+    return levels, energy
 
 
 def _zero_solution(N, K, L):
@@ -668,9 +739,6 @@ def _zero_solution(N, K, L):
         power=np.zeros((N, K, L)),
         energy=0.0,
         binary_energy=0.0,
-        expected_rate=0.0,
-        slot_levels=np.zeros(L),
-        mix=np.zeros(L),
         level=0.0,
     )
 
@@ -758,7 +826,7 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
             f"no limit support meets rate {vbar} within the power cap on "
             f"interval [{spec.start}, {spec.end})"
         )
-    levels, binary_energy, binary_rate = best
+    levels, binary_energy = best
 
     assignment = np.zeros((N, K, L), dtype=np.int8)
     power = np.zeros((N, K, L))
@@ -774,8 +842,5 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
         power=power,
         energy=energy_mixed,
         binary_energy=float(binary_energy),
-        expected_rate=float(binary_rate),
-        slot_levels=levels,
-        mix=mix,
         level=mu,
     )

@@ -60,23 +60,30 @@ def save_plan(plan: PolicyPlan, path, scenario_digest: str, power_budget: float,
 
 def _field(doc, key, convert, where: str):
     """``convert(doc[key])``, or a :class:`PlanFormatError` naming the key
-    (JSON reads ``1e400`` as inf, and ``int(inf)`` overflows)."""
+    (``float`` of a 401-digit JSON integer overflows)."""
     try:
         return convert(doc[key])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PlanFormatError(f"{where} field {key!r} is missing or malformed: {exc!r}") from exc
 
 
+def _integer(value) -> int:
+    """``value`` if it is a JSON integer; a bool or float is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _int_pair(values) -> tuple:
     a, b = values
-    return int(a), int(b)
+    return _integer(a), _integer(b)
 
 
 def _entry(rec) -> tuple:
     """``(rec, bs, rb, slot, power)`` of a 1-based ``[bs, rb, slot, power]``
     record ``rec``, with bs and rb made 0-based."""
     n, k, t, p = rec
-    return rec, int(n) - 1, int(k) - 1, int(t), float(p)
+    return rec, _integer(n) - 1, _integer(k) - 1, _integer(t), float(p)
 
 
 def load_plan(path) -> tuple[PolicyPlan, dict]:
@@ -88,16 +95,16 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
         raise PlanFormatError(f"plan file is not valid JSON: {exc}") from exc
     tag = doc.get("format") if isinstance(doc, dict) else None
     if tag != FORMAT_TAG:
         raise PlanFormatError(f"unrecognized plan format {tag!r}")
 
     header = "plan header"
-    horizon = _field(doc, "horizon", int, header)
-    aoi_bound = _field(doc, "aoi_bound", int, header)
-    rb_cap = _field(doc, "epsilon_theta", int, header)
+    horizon = _field(doc, "horizon", _integer, header)
+    aoi_bound = _field(doc, "aoi_bound", _integer, header)
+    rb_cap = _field(doc, "epsilon_theta", _integer, header)
     N, K = _field(doc, "dims", _int_pair, header)
     power_budget = _field(doc, "power_budget", float, header)
     legs_doc = _field(doc, "legs", list, header)
@@ -108,6 +115,9 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
         raise PlanFormatError(f"unknown success_mode {mode!r}; expected one of {SUCCESS_MODES}")
     if horizon < 1:
         raise PlanFormatError(f"plan horizon must be >= 1, got {horizon}")
+    if N < 1 or K < 1 or N * K * horizon > np.iinfo(np.intp).max:
+        raise PlanFormatError(f"plan header field 'dims' {[N, K]} must be >= 1 and fit "
+                              f"arrays over horizon {horizon}")
     if not 0.0 < power_budget < math.inf:
         raise PlanFormatError(f"power_budget must be a finite number > 0, got {power_budget}")
     if not math.isfinite(threshold):
@@ -120,7 +130,7 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
     prev_end = 1
     for index, leg_doc in enumerate(legs_doc, start=1):
         where = f"plan leg {index}"
-        start, end = _field(leg_doc, "start", int, where), _field(leg_doc, "end", int, where)
+        start, end = (_field(leg_doc, key, _integer, where) for key in ("start", "end"))
         target = _field(leg_doc, "target", float, where)
         feasible = _field(leg_doc, "feasible", bool, where)
         records = _field(leg_doc, "entries", lambda recs: [_entry(r) for r in recs], where)

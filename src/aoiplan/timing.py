@@ -8,75 +8,25 @@ infeasibility marker.  Feasible sampling sequences map bijectively to
 forward dynamic program in node order (the graph is a DAG by
 construction).
 
-Pruned edges.  :func:`build_graph` solves an edge only when some path
-through it can still tie or beat the optimum, which is lazy shortest-path
-search (Dellin and Srinivasa, ICAPS 2016).  It first solves the maximal
-edges, those no admissible edge contains: ``(a, a + L)`` with ``L =
-min(tau, T)``.  A feasible maximal edge M, solved at water level mu,
-gives a floor ``B_M`` under the computed weight of every edge inside it:
+Pruned edges.  :func:`build_graph` is lazy shortest-path search (Dellin
+and Srinivasa, ICAPS 2016).  It first solves the maximal edges ``(a, a +
+L)``, ``L = min(tau, T)``, which no admissible edge contains.  A feasible
+one gives every edge inside it the floor
+:func:`~aoiplan.inner.interval_floor` under its computed weight; an edge
+takes the largest floor around it, or 0 (weights are non-negative).
 
-  * The Lagrangian of the inner problem at mu and slot levels ``l_t =
-    min(mu, cap level of slot t)`` prices an allocation of slot t by
-    ``(mu/l_t)*power - ln2*mu*rate``.  Its minimum over the slot's
-    time-shared matchings is ``(mu/l_t)*C_t(l_t)``, where ``C_t`` is the
-    exact minimum matching cost under the weights at ``l_t`` (each
-    entry's best power is water-filling at ``l_t``).  Summing over M's
-    slots, any allocation x with rate R and per-slot powers
-    ``P_t(x) <= P + d_t`` spends
-
-        E(x) >= D(mu) - ln2*mu*(V - R) - sum_t (mu/l_t - 1)*d_t,
-
-    with D the dual of :func:`~aoiplan.inner.dual_bound` (weak duality;
-    time-sharing closes the gap, Yu and Lui, IEEE Trans. Commun. 2006).
-    D is certified: ``C_t`` is the kernel's cost lowered by its
-    ``K*stop_tol`` and rounding, and D is lowered by its own rounding.
-  * An edge e inside M is such an allocation with M's other slots
-    silent: they spend nothing and carry nothing, and ``C_t <= 0``.  The
-    solver's relaxed allocation for e mixes per slot two selections
-    water-filled at one level.  Its float rate is at least
-    ``V*(1 - RATE_REL_TOL)``, since :func:`~aoiplan.inner.solve_interval`
-    raises rather than return less.  Where its real rate falls short of
-    V, it is within ``RATE_ROUNDING*n*(1 + V)`` of the float one, for its
-    ``n <= 2*L*K`` mixed entries: each log2 errs by the few ulps of the
-    closed-form brackets in :mod:`aoiplan.inner`, and each sum of
-    non-negative terms by ``n*u`` relative, where ``u = 2**-53``.
-  * A slot at or above its cap level spends the cap's mix, which the cap
-    bisection leaves a rounding above P.  A slot below it spends at most
-    the cap's plus side plus ``2*K*eps``, with eps the one-sided limits'
-    offset at the cap level.  Three facts give this.  The exact optimum's
-    power is non-decreasing in the level: at levels ``a < b`` with optima
-    x and y, optimality at each level gives ``(b - a)*(R(y) - R(x)) >=
-    0``, and then ``P(y) - P(x) >= ln2*a*(R(y) - R(x)) >= 0``.  Each
-    selection in the slot's mix is optimal at a level within eps of the
-    slot's level and at most the cap level plus eps.  Moving a
-    selection's level by eps moves its power by at most ``K*eps``.  This
-    step takes the kernel's selections as the exact optima; the dual
-    tests check the bound it gives.  So ``d_t`` is the larger of the two
-    powers less P.  Only slots with ``mu > l_t`` count.
-  * The computed energy passes each real power through at most
-    ``K + L + 3`` roundings of non-negative numbers, so it is at least
-    ``1 - 2*(K + L + 4)*u`` times the real one.
-
-Hence every edge inside M weighs at least ``B_M = D - ln2*mu*(V*RATE_REL_TOL
-+ RATE_ROUNDING*2*L*K*(1 + V)) - sum_t (mu/l_t - 1)*d_t -
-2*(K + L + 4)*u*|D|``.  Weights are non-negative, so the floor of an edge
-is the largest ``B_M`` of the maximal edges around it, and 0 without one.
-An infeasible maximal edge gives no floor.
-
-The lazy loop then prices solved edges by their weights and the others by
-their floors.  It repeatedly solves the unsolved legs of the floor-priced
-shortest path until that path is fully solved.  Its cost c is then the
-eager graph's optimum, bit for bit: floors are at most the weights, and
-float addition and min are monotone.  Last, it solves every edge whose
-floor-priced path cost, ``forward + floor + backward``, is at most
-``c*(1 + 4*(T + 2)*u)``.  An edge on the eager DP's path meets this test.
-Its forward part is at most the DP's distance at its start, and its
-backward part at most the float suffix sum.  Regrouping at most T
-non-negative terms moves a sum by under ``2*(T + 1)*u`` relative.  So
-every edge the eager DP's earlier-predecessor tie-break could pick is
-solved.  :func:`shortest_path` skips the absent edges.  Along the eager
-path its distances equal the eager ones, and every earlier predecessor
-still loses strictly, so its plan is bit-identical to the eager graph's.
+The lazy loop prices solved edges by their weights and the others by
+their floors, and solves the unsolved legs of the floor-priced shortest
+path until that path P is fully solved.  P is then the eager graph's
+path.  Compare three forward DPs: priced by floors, by every weight, and
+over the solved edges only; an edge costs them at most, exactly and at
+least its weight.  Float addition is monotone, so their distances are
+ordered the same way at every node, and along the solved path P they are
+equal.  So at each node of P the minimizing predecessors nest, solved-only
+within eager within floor-priced, and P's own is in all three.  Each DP
+takes the earliest, hence P's, so :func:`shortest_path`, which skips
+absent edges, returns the eager plan bit for bit.  Without a floor-priced
+path there is no eager one either.
 """
 
 from __future__ import annotations
@@ -87,16 +37,12 @@ from dataclasses import dataclass, field
 
 from .channel import ChannelProfile
 from .errors import NoFeasiblePlanError
-from .inner import (LIMIT_ABS_FLOOR, LIMIT_REL_EPS, LN2, RATE_REL_TOL, UNIT_ROUNDOFF,
-                    Infeasible, IntervalSpec, dual_bound, slot_curves, solve_interval)
+from .inner import Infeasible, IntervalSpec, interval_floor, slot_curves, solve_interval
 from .numeric import seq_sum
 from .scenario import Scenario
 
 __all__ = ["TimingGraph", "SamplingPlan", "build_graph", "build_full_graph", "shortest_path",
            "export_graph_csv"]
-
-RATE_ROUNDING = 2.0 ** -40  # real-vs-float rate of a relaxed allocation, per entry, relative to 1 + V
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -113,7 +59,7 @@ class TimingGraph:
     """Interval graph over nodes 1..T+1.
 
     ``edges`` holds the solved edges only: every admissible one after
-    :func:`build_full_graph`, and those a shortest path can use after
+    :func:`build_full_graph`, and those the lazy search needed after
     :func:`build_graph`.
     """
 
@@ -190,31 +136,10 @@ class _EdgeSolver:
         return edge
 
 
-def _edge_floor(slots, mu: float, target: float, power_cap: float) -> float:
-    """``B_M`` of the module docstring for a maximal edge over ``slots``
-    solved at level ``mu``: a floor under the computed weight of every
-    edge inside it."""
-    K, L = slots[0].iota2d.shape[1], len(slots)
-    dual = dual_bound(slots, mu, target, power_cap)
-    short = RATE_REL_TOL * target + RATE_ROUNDING * 2 * L * K * (1.0 + target)
-    over = 0.0
-    for slot in slots:
-        cap = slot.slot_cap
-        if mu > cap.level:
-            lim = cap.limits
-            eps = max(cap.level * LIMIT_REL_EPS, LIMIT_ABS_FLOOR)
-            spent = max((1.0 - cap.xi) * lim.p_minus + cap.xi * lim.p_plus,
-                        lim.p_plus + 2 * K * eps)
-            excess = spent * (1.0 + 2 * (K + 4) * UNIT_ROUNDOFF) - power_cap
-            over += (mu / cap.level - 1.0) * max(excess, 0.0)
-    floor = dual - LN2 * mu * short - over - 2 * (K + L + 4) * UNIT_ROUNDOFF * abs(dual)
-    return max(floor, 0.0)
-
-
-def _distances(n: int, tau: int, cost) -> tuple:
-    """Forward DP from node 1 over ``cost(i, j)``: (distances, nodes of the
-    path 1 -> n, or None without one), ties broken toward the earlier
-    predecessor; an infinite cost is no edge."""
+def _distances(n: int, tau: int, cost) -> list | None:
+    """Nodes of the path 1 -> n of a forward DP over ``cost(i, j)``, or
+    None without one; ties break toward the earlier predecessor, and an
+    infinite cost is no edge."""
     dist = [math.inf] * (n + 1)
     pred = [0] * (n + 1)
     dist[1] = 0.0
@@ -224,42 +149,36 @@ def _distances(n: int, tau: int, cost) -> tuple:
             if c < dist[j]:
                 dist[j], pred[j] = c, i
     if not math.isfinite(dist[n]):
-        return dist, None
+        return None
     path = [n]
     while path[-1] != 1:
         path.append(pred[path[-1]])
-    return dist, path[::-1]
+    return path[::-1]
 
 
 def _solve_lazily(edges: dict, solve, floors: dict, horizon: int, tau: int) -> None:
-    """Solve into ``edges`` the edges a shortest path can use (see the
-    module docstring); the others keep their floors and stay unsolved."""
+    """Solve into ``edges`` the legs of the floor-priced shortest path
+    until it is fully solved (see the module docstring); the other edges
+    keep their floors and stay unsolved."""
     def cost(i, j):
         edge = edges.get((i, j))
         return floors.get((i, j), 0.0) if edge is None else edge.weight
 
-    n = horizon + 1
     while True:
-        dist, path = _distances(n, tau, cost)
+        path = _distances(horizon + 1, tau, cost)
         if path is None:
             return  # no path: the eager graph has none either
         todo = [leg for leg in zip(path, path[1:]) if leg not in edges]
         if not todo:
-            break
+            return
         for key in reversed(todo):  # last leg first: the order decides each curve's hints
             solve(*key)
-    # distances to n, as a forward DP over the mirrored graph
-    back = _distances(n, tau, lambda i, j: cost(n + 1 - j, n + 1 - i))[0]
-    limit = dist[n] + dist[n] * (4 * (n + 1) * UNIT_ROUNDOFF)
-    for i, j in _edge_targets(horizon, tau):
-        if (i, j) not in edges and dist[i] + cost(i, j) + back[n + 1 - j] <= limit:
-            solve(i, j)
 
 
 def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
                 jobs: int = 1, rate_margin: float = 1.0) -> TimingGraph:
-    """Assemble the timing graph, solving only the edges a shortest path
-    can use (see the module docstring); its plan is the one of
+    """Assemble the timing graph, solving only the edges the lazy search
+    needs (see the module docstring); its plan is the one of
     :func:`build_full_graph`, bit for bit.
 
     Edges are solved one after another; ``jobs`` stays only for callers
@@ -275,8 +194,8 @@ def build_graph(scenario: Scenario, profile: ChannelProfile, rb_cap: int,
         sol = solve(a, a + L).solution
         if isinstance(sol, Infeasible) or not sol.level > 0.0:
             continue  # no floor beyond the weights' own 0
-        floor = _edge_floor(solve.curves[a - 1 : a - 1 + L], sol.level, solve.target,
-                            solve.power_cap)
+        floor = interval_floor(solve.curves[a - 1 : a - 1 + L], sol.level, solve.target,
+                               solve.power_cap)
         for i in range(a, a + L):
             for j in range(i + 1, a + L + 1):
                 floors[(i, j)] = max(floor, floors.get((i, j), 0.0))
@@ -306,7 +225,7 @@ def shortest_path(graph: TimingGraph) -> SamplingPlan:
         edge = graph.edges.get((i, j))  # absent edges are skipped
         return math.inf if edge is None else edge.weight
 
-    _, nodes = _distances(graph.horizon + 1, graph.aoi_bound, weight)
+    nodes = _distances(graph.horizon + 1, graph.aoi_bound, weight)
     if nodes is None:
         raise NoFeasiblePlanError(
             f"no feasible sampling sequence reaches slot {graph.horizon} "

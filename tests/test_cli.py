@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import shlex
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from aoiplan import build_profile, pareto
-from aoiplan.channel import save_profile
-from aoiplan.cli import _build_parser, main
+from aoiplan.channel import load_profile, save_profile
+from aoiplan.cli import _build_parser, _load_inputs, _parse_g, main
+from aoiplan.errors import PlanFormatError, ScenarioValidationError
 from aoiplan.scenario import load_scenario, save_scenario, scenario_digest
 from aoiplan.timing import build_full_graph, build_graph, export_graph_csv, shortest_path
 
@@ -71,6 +73,19 @@ def test_generate_validation_error_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--preset" in err and "--scenario" in err
     assert not out.exists()
+
+
+def test_generate_rejects_seeds_a_profile_file_cannot_store(tmp_path, desk_files, capsys):
+    """Profiles store the seed as an int64: the largest one round-trips, and
+    the next exits 2 before either file is written."""
+    _, _, scen, _ = desk_files
+    top, over = tmp_path / "top", tmp_path / "over"
+    assert main(["generate", "--scenario", scen, "--seed", str(2**63 - 1), "--out", str(top)]) == 0
+    assert load_profile(top / "profile.npz").seed == 2**63 - 1
+    capsys.readouterr()
+    assert main(["generate", "--scenario", scen, "--seed", str(2**63), "--out", str(over)]) == 2
+    assert f"seed {2**63}" in capsys.readouterr().err
+    assert not (over / "scenario.json").exists() and not (over / "profile.npz").exists()
 
 
 def test_generate_missing_dir_is_io_error(tmp_path):
@@ -203,6 +218,18 @@ def test_simulate_malformed_plan_file_is_validation_error(tmp_path, desk_files, 
     assert main(["simulate", "--scenario", scen, "--profile", profp,
                  "--plan", str(plan), "--replicas", "2"]) == 2
     assert "plan leg 1" in capsys.readouterr().err
+
+
+def test_profile_of_other_dimensions_is_validation_error(tmp_path, desk_files, capsys):
+    _, _, _, profp = desk_files  # a (2, 3, 8) profile
+    other = tmp_path / "other.json"
+    save_scenario(desk_scenario(3, N=3, K=2), other)
+    argv = ["plan", "--scenario", str(other), "--profile", profp, "--epsilon-theta", "2"]
+    with pytest.raises(ScenarioValidationError, match=r"profile dims \(2, 3, 8\)"):
+        _load_inputs(_build_parser().parse_args(argv))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "profile dims (2, 3, 8) do not match the scenario" in capsys.readouterr().err
 
 
 def test_simulate_plan_of_other_dimensions_is_plan_format_error(tmp_path, desk_files, capsys):
@@ -475,11 +502,20 @@ def test_transform_and_select_reject_malformed_inputs(tmp_path, capsys):
     assert main(["transform", "--frontier", good, "--g1", "identity",
                  "--g2", "pow:", "--out", out]) == 2
     assert "--g2" in capsys.readouterr().err
+    with pytest.raises(argparse.ArgumentTypeError, match="unknown map 'bogus'"):
+        _parse_g("bogus")
+    assert main(["transform", "--frontier", good, "--g1", "bogus",
+                 "--g2", "identity", "--out", out]) == 2
+    assert "unknown map 'bogus'" in capsys.readouterr().err
     no_cap = _frontier_csv(tmp_path / "n.csv", ["0.8,0,1,1"],
                            header="energy_linear,energy_dbm,num_samples,instants")
     bad_cell = _frontier_csv(tmp_path / "b.csv", ["2,0.8,0,1,1", "3.5,0.6,0,1,1"])
     short = _frontier_csv(tmp_path / "s.csv", ["2,0.8,0,1,1", "3"])
-    for path, words in ((no_cap, "epsilon_theta"), (bad_cell, "line 3"), (short, "line 3")):
+    empty = _frontier_csv(tmp_path / "e.csv", [])
+    for path, words in ((no_cap, "epsilon_theta"), (bad_cell, "line 3"), (short, "line 3"),
+                        (empty, "has no rows")):
+        with pytest.raises(PlanFormatError, match=words):
+            pareto.read_frontier_csv(path)
         for cmd in (["transform", "--frontier", path, "--g1", "identity", "--g2", "identity",
                      "--out", out], ["select", "--frontier", path]):
             assert main(cmd) == 2, (path, cmd)

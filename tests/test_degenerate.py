@@ -72,7 +72,10 @@ def test_degenerate_inputs_plan_and_simulate_like_the_oracles(name, scenario, pr
         else:
             assert not isinstance(ref, Infeasible), (name, i, j)
             assert math.isclose(edge.weight, ref, rel_tol=1e-3), (name, i, j, edge.weight, ref)
-            assert edge.solution.expected_rate >= s.payload_threshold_vbar * (1.0 - 1e-9)
+            power, active = edge.solution.power, edge.solution.assignment.astype(bool)
+            iota = profile.iota[:, :, i - 1 : j - 1]
+            rate = float(np.log2(1.0 + power[active] / iota[active]).sum())
+            assert rate >= s.payload_threshold_vbar * (1.0 - 1e-9), (name, i, j)
 
     plan = shortest_path(build_graph(s, profile, cap))
     _, oracle_energy = oracle_plan_from_profile(s, profile, cap)

@@ -1,12 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from aoiplan import build_profile
+from aoiplan.cli import main
 from aoiplan.errors import PlanFormatError
 from aoiplan.planfile import load_plan, save_plan, validate_plan_rates
-from aoiplan.scenario import scenario_digest
+from aoiplan.scenario import save_scenario, scenario_digest
 from aoiplan.sim import age_aware_plan
 
 from conftest import desk_scenario
@@ -139,8 +141,59 @@ def test_rejects_integers_that_overflow(saved_plan, tmp_path, field):
 
     bad = _mutate(path, tmp_path, overflow)
     bad.write_text(bad.read_text().replace('"INF"', "1e400"))
-    with pytest.raises(PlanFormatError, match=f"field '{field}' .*OverflowError"):
+    with pytest.raises(PlanFormatError, match=f"field '{field}' .*inf is not an integer"):
         load_plan(bad)
+
+
+def _entries_over_the_load_cap(doc):
+    """Every RB of the first leg's first slot to BS 1, one more than its cap."""
+    leg = doc["legs"][0]
+    leg["entries"] = [[1, k, leg["start"], 1e-6] for k in range(1, doc["dims"][1] + 1)]
+    doc["epsilon_theta"] = doc["dims"][1] - 1
+
+
+_BROKEN = {  # name -> (damage to the document, words of the error)
+    # integer fields take JSON integers only: no truncation, no bools
+    "fractional dim": (lambda d: d["dims"].__setitem__(1, 16.5), "field 'dims'"),
+    "fractional horizon": (lambda d: d.update(horizon=8.9), "field 'horizon'"),
+    "integral float horizon": (lambda d: d.update(horizon=8.0), "field 'horizon'"),
+    "fractional aoi_bound": (lambda d: d.update(aoi_bound=3.9), "field 'aoi_bound'"),
+    "boolean cap": (lambda d: d.update(epsilon_theta=True), "field 'epsilon_theta'"),
+    "fractional leg end": (lambda d: d["legs"][0].update(end=4.5), "field 'end'"),
+    "float entry index": (lambda d: d["legs"][0]["entries"][0].__setitem__(0, 1.0),
+                          "field 'entries'"),
+    "negative dim": (lambda d: d.update(dims=[-1, 3]), "field 'dims'"),
+    "401-digit dim": (lambda d: d["dims"].__setitem__(0, 10**400), "field 'dims'"),
+    # structure
+    "legs not contiguous": (lambda d: d["legs"][1].update(start=5), "not contiguous at slot 5"),
+    "leg past the horizon": (lambda d: d["legs"][2].update(end=10), "outside horizon 8"),
+    "entry outside its leg": (lambda d: d["legs"][0]["entries"][0].__setitem__(2, 4),
+                              "outside leg [1, 4)"),
+    "BS over the load cap": (_entries_over_the_load_cap, "exceeds the load cap"),
+    "legs end early": (lambda d: d.update(legs=d["legs"][:2]), "legs end at 6, expected 9"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BROKEN) + ["not JSON", "5000-digit integer"])
+def test_rejects_broken_fields_and_structure(saved_plan, tmp_path, name):
+    """Each break raises :class:`PlanFormatError` naming what is wrong, and
+    ``aoiplan simulate --plan`` exits 2 on it."""
+    s, *_, path = saved_plan
+    if name == "not JSON":
+        bad, words = tmp_path / "bad.json", "not valid JSON"
+        bad.write_text("{not json")
+    elif name == "5000-digit integer":  # beyond Python's default int parsing limit
+        bad, words = tmp_path / "bad.json", "not valid JSON"
+        bad.write_text(path.read_text().replace('"horizon": 8', '"horizon": 1' + "0" * 5000))
+    else:
+        damage, words = _BROKEN[name]
+        bad = _mutate(path, tmp_path, damage)
+    with pytest.raises(PlanFormatError, match=re.escape(words)):
+        load_plan(bad)
+    scen = tmp_path / "scenario.json"
+    save_scenario(s, scen)
+    assert main(["simulate", "--scenario", str(scen), "--seed", "3", "--plan", str(bad),
+                 "--replicas", "1"]) == 2
 
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf")])

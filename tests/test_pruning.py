@@ -8,6 +8,8 @@ referee; the package itself never imports scipy.
 """
 
 import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +17,12 @@ from scipy.optimize import linear_sum_assignment
 
 from aoiplan import ChannelProfile, build_profile
 from aoiplan.errors import NoFeasiblePlanError
-from aoiplan.inner import (LN2, IntervalSpec, assignment_weights, dual_bound, slot_curves,
-                           solve_interval)
+from aoiplan.inner import (LN2, Infeasible, IntervalSpec, assignment_weights, dual_bound,
+                           interval_floor, slot_curves, solve_interval)
 from aoiplan.oracle import oracle_inner
 from aoiplan.scenario import default_patrol_scenario
-from aoiplan.timing import build_full_graph, build_graph, shortest_path
+from aoiplan.timing import (Edge, TimingGraph, _edge_targets, _EdgeSolver, _solve_lazily,
+                            build_full_graph, build_graph, shortest_path)
 
 from conftest import desk_scenario, synthetic_profile
 
@@ -136,6 +139,77 @@ def test_graphs_hold_only_their_solved_edges():
     assert (full.solved_edges, full.pruned_edges) == (234, 0)
     for key, edge in graph.edges.items():
         assert edge.weight == full.edges[key].weight, key
+
+
+# weights whose float sums tie often (0.1 + 0.2 == 0.3 fails, 0.3 + 0.4 == 0.7
+# holds), and infeasible edges
+_WEIGHTS = (0.1, 0.2, 0.3, 1 / 3, 0.4, 0.6, 2 / 3, 0.7, 1.0, math.inf)
+
+
+def _plan_or_none(graph):
+    try:
+        plan = shortest_path(graph)
+    except NoFeasiblePlanError:
+        return None
+    return plan.instants, plan.total_energy.hex(), plan.binary_energy.hex()
+
+
+def test_lazy_search_plans_like_all_weights_on_random_graphs():
+    """The lazy loop with a stand-in edge solver, on graphs with float ties
+    and infinite edges and floors at most the weights: the plan over the
+    edges it solved equals the plan over every weight, bit for bit."""
+    rng = np.random.default_rng(2401)
+    outcomes, pruned = set(), 0
+    for _ in range(2000):
+        T, tau = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        weights = {key: float(rng.choice(_WEIGHTS)) for key in _edge_targets(T, tau)}
+        floors = {key: min(w, float(rng.choice((0.0,) + _WEIGHTS[:-1])))
+                  for key, w in weights.items()}
+        edges = {}
+
+        def solve(i, j):
+            w = weights[(i, j)]
+            edges[(i, j)] = Edge(weight=w, solution=SimpleNamespace(binary_energy=2.0 * w))
+
+        L = min(tau, T)
+        for a in range(1, T + 2 - L):  # the maximal edges first, as build_graph does
+            solve(a, a + L)
+        _solve_lazily(edges, solve, floors, T, tau)
+        lazy = TimingGraph(horizon=T, aoi_bound=tau, rb_cap=1, edges=dict(edges))
+        for key in weights:
+            solve(*key)
+        eager = TimingGraph(horizon=T, aoi_bound=tau, rb_cap=1, edges=edges)
+        want = _plan_or_none(eager)
+        assert _plan_or_none(lazy) == want, (T, tau, weights, floors)
+        outcomes.add(want is None)
+        pruned += lazy.pruned_edges > 0
+    assert outcomes == {True, False}
+    assert pruned > 500
+
+
+@pytest.mark.parametrize("seed,T,tau,cap", [(1, 60, 4, 4), (2, 62, 8, 4)])
+def test_interval_floor_is_below_every_contained_weight(seed, T, tau, cap):
+    """Every maximal edge's floor lies under the computed weight of every
+    edge inside it, on all-edges graphs."""
+    scenario, profile = _table1(seed, T, tau)
+    solve = _EdgeSolver(scenario, profile, cap, 1.0)
+    for key in _edge_targets(T, tau):
+        solve(*key)
+    L, checked, violations = min(tau, T), 0, []
+    for a in range(1, T + 2 - L):
+        sol = solve.edges[(a, a + L)].solution
+        if isinstance(sol, Infeasible):
+            continue
+        floor = interval_floor(solve.curves[a - 1 : a - 1 + L], sol.level, solve.target,
+                               solve.power_cap)
+        assert floor > 0.0
+        for i in range(a, a + L):
+            for j in range(i + 1, a + L + 1):
+                checked += 1
+                if not floor <= solve.edges[(i, j)].weight:
+                    violations.append((a, i, j))
+    assert violations == []
+    assert checked > 0
 
 
 # ------------------------------------------------------------------ dual bound

@@ -109,6 +109,36 @@ def test_validation_collects_all_violations():
     assert len(err.value.violations) >= 3
 
 
+def _drop_a_bs(doc):
+    doc["bs_positions"] = doc["bs_positions"][:-1]
+
+
+@pytest.mark.parametrize("name,damage,error,words", [
+    ("bs_positions length", _drop_a_bs, ScenarioValidationError,
+     "bs_positions length 1 does not match num_bs_N 2"),
+    ("pair for a point", lambda d: d["uav_trajectory"].__setitem__(0, [0.0, 0.0]),
+     ScenarioValidationError, "uav_trajectory[0] must be an (x, y, z) triple"),
+    ("kappa_range not a pair", lambda d: d.update(kappa_range=[1.0]),
+     ScenarioValidationError, "kappa_range must be a (low, high) pair"),
+    ("not an object", None, ScenarioParseError, "must be a JSON object"),
+])
+def test_malformed_documents_are_typed_errors(tmp_path, capsys, name, damage, error, words):
+    doc = scenario_to_dict(desk_scenario(2))
+    if damage is None:
+        doc = [doc]
+    else:
+        damage(doc)
+    text = json.dumps(doc)
+    with pytest.raises(error) as err:
+        parse_scenario(text)
+    assert words in str(err.value)
+    scen = tmp_path / "s.json"
+    scen.write_text(text)
+    capsys.readouterr()
+    assert main(["generate", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert words in capsys.readouterr().err
+
+
 def test_parse_errors_name_offending_keys():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(json.dumps({"horizon_T": 4}))
