@@ -183,13 +183,13 @@ class ChannelProfile:
         return self.gain.shape
 
     @classmethod
-    def from_arrays(cls, gain, shape, noise_power, seed=None) -> "ChannelProfile":
+    def from_arrays(cls, gain, shape, noise_power) -> "ChannelProfile":
         gain = np.ascontiguousarray(gain, dtype=float)
         shape = np.ascontiguousarray(shape, dtype=float)
         if gain.ndim != 3 or np.any(gain <= 0.0):
             raise ValueError("gain must be an (N, K, T) tensor of positives")
         iota = _channel_floor(gain, shape, noise_power)
-        return cls(gain=gain, shape=shape, iota=iota, noise_power=float(noise_power), seed=seed)
+        return cls(gain=gain, shape=shape, iota=iota, noise_power=float(noise_power))
 
 
 def _channel_floor(gain, shape, noise_power):
@@ -397,12 +397,18 @@ def replica_generators(seed: int, start: int, stop: int) -> list:
 # Profile persistence (bit-exact binary dump)
 # ----------------------------------------------------------------------
 
+def check_profile_seed(seed) -> None:
+    """Raise :class:`ScenarioValidationError` unless a profile file, which
+    stores the seed as an int64, can store ``seed`` (None or 0 .. 2**63 - 1)."""
+    if seed is not None and not 0 <= seed < 2**63:
+        raise ScenarioValidationError([f"seed {seed} is outside 0 .. 2**63 - 1, "
+                                       "the seeds a profile file stores"])
+
+
 def save_profile(profile: ChannelProfile, path) -> None:
     """Write the profile as an .npz tensor dump (lossless round trip); a
-    seed outside ``[0, 2**63)`` raises :class:`ScenarioValidationError`."""
-    if profile.seed is not None and not 0 <= profile.seed < 2**63:  # stored as an int64
-        raise ScenarioValidationError([f"seed {profile.seed} is outside 0 .. 2**63 - 1, "
-                                       "the seeds a profile file stores"])
+    seed :func:`check_profile_seed` rejects raises before anything is written."""
+    check_profile_seed(profile.seed)
     np.savez(
         path,
         gain=profile.gain,

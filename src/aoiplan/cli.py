@@ -141,11 +141,12 @@ def _parse_g(spec: str):
 def cmd_generate(args) -> int:
     # --preset table1 leaves --scenario unset, which selects the same default
     scenario, profile, seed = _load_inputs(args)  # validates before anything is written
+    channel.check_profile_seed(profile.seed)
     out = Path(args.out)
     out.mkdir(exist_ok=True)  # a missing parent raises OSError: exit 4
     scen_path = out / "scenario.json"
     prof_path = out / "profile.npz"
-    channel.save_profile(profile, prof_path)  # rejects a seed it cannot store
+    channel.save_profile(profile, prof_path)
     save_scenario(scenario, scen_path)
     print(f"scenario: {scen_path}")
     print(f"profile:  {prof_path} (seed {seed})")

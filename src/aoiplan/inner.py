@@ -63,12 +63,13 @@ certified once both ends hold the same selection.
 
 The curve also bounds the kernel rate at levels it was not asked.  Both
 water-level bisections decide ``sum_t rate_t(mu) >= target`` with
-:func:`_reaches`, over slots that answer ``bracket(mu)`` and
-``rate(mu)`` and apply their own cap level: a :class:`SlotCurve` in the
-global-level bisection, and in the binary re-solve a
-:class:`_FrozenSupport`, whose float rate is numpy's sum of
-``log2(level / iota)`` over the floors below its capped level and whose
-bracket is the closed form below.  Sequential float addition is monotone
+:func:`_reaches`, over slots of two kinds that both have a
+``cap_level``, ``bracket(mu)`` and ``rate(mu)``: a :class:`SlotCurve` in
+the global-level bisection, whose bracket at or above its cap level is
+the cap's mixed rate, and in the binary re-solve a :class:`_Support` of
+the slot's frozen selection, whose float rate is numpy's sum of
+``log2(level / iota)`` over the floors below ``min(mu, cap_level)`` and
+whose bracket is the closed form below.  Sequential float addition is monotone
 in every term, so when the summed lower ends reach the target, or the
 summed upper ends miss it, the exact sum decides the same way; otherwise
 the slot with the widest bracket is asked for its rate and the sums
@@ -83,8 +84,8 @@ lam is ``s = sum_S fl(log2(fl(lam / iota_i)))`` over the m selected
 entries with ``iota_i < lam``, added by numpy in some order (pairwise,
 with exact zeros for the selected entries below their floor).  Its real
 counterpart is the closed form ``R = m*log2(lam) - sum_S log2(iota_i)``.
-:class:`_SupportLogs` keeps the selection's floors sorted with prefix
-sums of ``log2(iota)`` and of ``|log2(iota)|``, evaluates
+:class:`_Support` keeps the selection's floors sorted with prefix sums
+of ``log2(iota)`` and of ``|log2(iota)|``, evaluates
 ``c = fl(fl(m * g) - P_m)`` with ``g = math.log2(lam)`` and the prefix
 sum ``P_m``, and returns ``c -/+ band``.  With the unit roundoff
 ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)``, ``B = m*|log2(lam)| +
@@ -115,8 +116,8 @@ To first order in u these total ``((4 * LOG2_ULPS + 3) * u +
 band's own rounding for any m below 2**40.  The summation term grows
 with m, so no constant relative band would do for large selections.  A
 certified piece keeps its selection, so its bracket vouches for the rate
-a query there would price; its floors, sorted, and their prefix sums are
-kept once per stored selection object.
+a query there would price; its :class:`_Support`, without a power cap,
+is kept once per stored selection object.
 
 Secant bounds.  Outside certified pieces the curve still bounds the rate
 from its nearest recorded levels.  These bounds stay because they still
@@ -356,21 +357,39 @@ def _bisect(lo: float, hi: float, reaches, rel: float = BRACKET_REL_TOL,
     return hi
 
 
-class _SupportLogs:
-    """Floors of a fixed selection, sorted, with prefix sums of their log2
-    and of its magnitude, bracketing the selection's float rate at any
-    level by the closed form of the module docstring."""
+class _Support:
+    """Water-filling over a fixed selection's floors ``iotas``, capped at
+    ``cap_level``, where it spends ``power_cap`` (inf without a cap).
 
-    def __init__(self, iotas: np.ndarray):
+    The floors are kept sorted, with prefix sums of their log2 and of its
+    magnitude for the closed-form bracket of the module docstring.
+    """
+
+    def __init__(self, iotas: np.ndarray, power_cap: float = math.inf):
         self.floors = np.sort(iotas)
         logs = np.log2(self.floors)
         self._keys = self.floors.tolist()
         self.log_sums = [0.0] + np.cumsum(logs).tolist()
         self.abs_sums = [0.0] + np.cumsum(np.abs(logs)).tolist()
+        self.cap_level = math.inf
+        if power_cap < math.inf:
+            self.cap_level = self._spending(power_cap) if iotas.size else 0.0
 
-    def rate_bounds(self, level: float) -> tuple:
-        """(lower, upper) bounds on the float sum of ``log2(level / iota)``
-        over the floors below ``level``, summed in any order."""
+    def _spending(self, power_cap: float) -> float:
+        """Exact level where water-filling over the floors spends ``power_cap``."""
+        s = self.floors
+        prefix = np.cumsum(s)
+        for m in range(1, len(s) + 1):
+            lvl = (power_cap + prefix[m - 1]) / m
+            upper = s[m] if m < len(s) else math.inf
+            if s[m - 1] <= lvl <= upper:
+                return float(lvl)
+        return float((power_cap + prefix[-1]) / len(s))
+
+    def bracket(self, mu: float) -> tuple:
+        """(lower, upper) bounds on :meth:`rate` at global level ``mu``,
+        valid for the float sum in any order."""
+        level = min(mu, self.cap_level)
         m = bisect_left(self._keys, level)
         if not m:
             return 0.0, 0.0
@@ -379,6 +398,13 @@ class _SupportLogs:
         band = UNIT_ROUNDOFF * ((3 * m + 4 * LOG2_ULPS + 8)
                                 * (m * abs(g) + self.abs_sums[m]) + 2 * m)
         return closed - band, closed + band
+
+    def rate(self, mu: float) -> float:
+        """Float rate at global level ``mu``: ``log2(level / iota)`` over
+        the floors below ``level = min(mu, cap_level)``, summed by numpy."""
+        level = min(mu, self.cap_level)
+        act = self.floors[self.floors < level]
+        return float(np.log2(level / act).sum()) if act.size else 0.0
 
 
 @dataclass
@@ -396,20 +422,20 @@ class SlotCurve:
     level asked so far for one slot and load cap, and bounds on the rate
     in between: the closed-form bracket inside certified pieces, the
     secant bounds with the slack of the module docstring elsewhere.
-    :func:`solve_slot_cap` returns one with ``power_cap`` and ``slot_cap``
-    set."""
+    :func:`solve_slot_cap` returns one with ``power_cap``, ``cap_level``,
+    ``cap_xi``, ``cap_limits`` and ``rate_at_cap`` set."""
 
     def __init__(self, iota2d: np.ndarray, cap: int):
         self.iota2d = iota2d
         self.cap = cap
-        self.power_cap = self.slot_cap = None
+        self.power_cap, self.cap_level = None, math.inf  # set by solve_slot_cap
         self._levels = []   # sorted recorded levels
         self._rates = []    # kernel rate at each recorded level
         self._selects = []  # kernel selection at each recorded level
         self._pieces = []   # gap below each recorded level: True certified piece,
         #                     False not a piece, None unchecked
         self._certs = []    # (certificate slack, max|w|) at each recorded level, or None
-        self._logs = {}     # id of a stored selection -> _SupportLogs of its floors
+        self._supports = {}  # id of a stored selection -> _Support of its floors
         self._floors = sorted(iota2d.ravel().tolist())
         self._iota_min = self._floors[0]
         self._slack_scale = CURVE_EPS * iota2d.shape[1] / LN2
@@ -543,10 +569,10 @@ class SlotCurve:
             return rates[j], rates[j]
         select = self._piece(j)
         if select is not None:
-            logs = self._logs.get(id(select))
-            if logs is None:
-                logs = self._logs[id(select)] = _SupportLogs(self.iota2d[select.astype(bool)])
-            return logs.rate_bounds(level)
+            support = self._supports.get(id(select))
+            if support is None:
+                support = self._supports[id(select)] = _Support(self.iota2d[select.astype(bool)])
+            return support.bracket(level)
         own = self._slack(level)
         lo, hi = -math.inf, math.inf
         if j:
@@ -558,26 +584,16 @@ class SlotCurve:
         return lo, hi
 
     def bracket(self, mu: float) -> tuple:
-        """Bounds on :meth:`rate` at global level ``mu``."""
-        cap = self.slot_cap
-        if mu >= cap.level:
-            return cap.rate_at_cap, cap.rate_at_cap
+        """Bounds on the slot's rate at global level ``mu``: exact, the
+        cap's mixed rate, at or above the cap level."""
+        if mu >= self.cap_level:
+            return self.rate_at_cap, self.rate_at_cap
         return self.bounds(mu)
 
     def rate(self, mu: float) -> float:
-        """Kernel rate at global level ``mu`` below the cap level, else the cap rate."""
-        cap = self.slot_cap
-        if mu >= cap.level:
-            return cap.rate_at_cap
+        """Kernel rate at global level ``mu``.  :meth:`bracket` is exact at
+        or above the cap level, so :func:`_reaches` asks only below it."""
         return self.state(mu)[2]
-
-
-@dataclass
-class _SlotCap:
-    level: float          # cap water level
-    xi: float             # mixing that pins assigned power to the budget
-    limits: _SlotLimits   # one-sided limits at the cap level
-    rate_at_cap: float    # mixed rate with the slot pinned at its power cap
 
 
 def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> SlotCurve:
@@ -586,7 +602,8 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> SlotCurve:
     the budget exactly when the crossing happens at a matching switch.
 
     The bisection and the limits ask a new :class:`SlotCurve`, which is
-    returned with ``power_cap`` and ``slot_cap`` set.
+    returned with the cap level, the mixing ``cap_xi``, the one-sided
+    limits there and the mixed ``rate_at_cap`` set.
     """
     curve = SlotCurve(iota2d, cap)
     hi = float(iota2d.max()) + float(power_cap)  # assigned power >= hi - max(iota) there
@@ -597,9 +614,8 @@ def solve_slot_cap(iota2d: np.ndarray, cap: int, power_cap: float) -> SlotCurve:
         xi = (power_cap - lim.p_minus) / gap
     else:
         xi = 1.0
-    rate_at_cap = (1.0 - xi) * lim.r_minus + xi * lim.r_plus
-    curve.power_cap = power_cap
-    curve.slot_cap = _SlotCap(level=level, xi=xi, limits=lim, rate_at_cap=rate_at_cap)
+    curve.power_cap, curve.cap_level, curve.cap_xi, curve.cap_limits = power_cap, level, xi, lim
+    curve.rate_at_cap = (1.0 - xi) * lim.r_minus + xi * lim.r_plus
     return curve
 
 
@@ -622,7 +638,7 @@ def dual_bound(slots, mu: float, rate_target: float, power_cap: float) -> float:
     terms = [LN2 * mu * rate_target]
     size = terms[0]
     for slot in slots:
-        level = min(mu, slot.slot_cap.level)
+        level = min(mu, slot.cap_level)
         ratio = mu / level
         cost = slot.cost_floor(level)
         terms.append(ratio * cost - (ratio - 1.0) * power_cap)
@@ -639,13 +655,12 @@ def interval_floor(slots, mu: float, target: float, power_cap: float) -> float:
     short = RATE_REL_TOL * target + RATE_ROUNDING * 2 * L * K * (1.0 + target)
     over = 0.0
     for slot in slots:
-        cap = slot.slot_cap
-        if mu > cap.level:
-            lim = cap.limits
-            spent = max((1.0 - cap.xi) * lim.p_minus + cap.xi * lim.p_plus,
-                        lim.p_plus + 2 * K * _limit_offset(cap.level))
+        if mu > slot.cap_level:
+            lim, xi = slot.cap_limits, slot.cap_xi
+            spent = max((1.0 - xi) * lim.p_minus + xi * lim.p_plus,
+                        lim.p_plus + 2 * K * _limit_offset(slot.cap_level))
             excess = spent * (1.0 + 2 * (K + 4) * UNIT_ROUNDOFF) - power_cap
-            over += (mu / cap.level - 1.0) * max(excess, 0.0)
+            over += (mu / slot.cap_level - 1.0) * max(excess, 0.0)
     floor = dual - LN2 * mu * short - over - 2 * (K + L + 4) * UNIT_ROUNDOFF * abs(dual)
     return max(floor, 0.0)
 
@@ -653,7 +668,7 @@ def interval_floor(slots, mu: float, target: float, power_cap: float) -> float:
 def _reaches(slots, mu: float, target: float) -> bool:
     """Whether the slots' summed float rate at ``mu`` reaches ``target``.
 
-    Each slot is a :class:`SlotCurve` or a :class:`_FrozenSupport`.  Their
+    Each slot is a :class:`SlotCurve` or a :class:`_Support`.  Their
     ``bracket(mu)`` ends are added left to right until the sums settle the
     comparison; otherwise the slot with the widest bracket is asked for
     its ``rate(mu)`` and the sums retried.
@@ -677,39 +692,6 @@ def _reaches(slots, mu: float, target: float) -> bool:
 # Binary plan extraction: re-solve the water level on frozen supports
 # ----------------------------------------------------------------------
 
-def _support_cap_level(iotas: np.ndarray, power_cap: float) -> float:
-    """Exact level where water-filling over a fixed support spends the budget."""
-    s = np.sort(iotas)
-    prefix = np.cumsum(s)
-    for m in range(1, len(s) + 1):
-        lvl = (power_cap + prefix[m - 1]) / m
-        upper = s[m] if m < len(s) else math.inf
-        if s[m - 1] <= lvl <= upper:
-            return float(lvl)
-    return float((power_cap + prefix[-1]) / len(s))
-
-
-class _FrozenSupport:
-    """Capped water-filling over one slot's frozen support: its floors'
-    :class:`_SupportLogs` and the level where it spends the budget."""
-
-    def __init__(self, iotas: np.ndarray, power_cap: float):
-        self.logs = _SupportLogs(iotas)
-        self.floors = self.logs.floors
-        self.cap_level = _support_cap_level(self.floors, power_cap) if iotas.size else 0.0
-
-    def bracket(self, mu: float) -> tuple:
-        """Closed-form bounds on :meth:`rate` at global level ``mu``."""
-        return self.logs.rate_bounds(min(mu, self.cap_level))
-
-    def rate(self, mu: float) -> float:
-        """Float rate at global level ``mu``: ``log2(level / iota)`` over
-        the floors below the capped level, summed by numpy."""
-        lvl = min(mu, self.cap_level)
-        act = self.floors[self.floors < lvl]
-        return float(np.log2(lvl / act).sum()) if act.size else 0.0
-
-
 def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
     """Min-energy capped water-filling with frozen per-slot supports.
 
@@ -717,7 +699,7 @@ def _fixed_support_solve(supports, iota3d, rate_target, power_cap):
     the target under the per-slot power caps.  The bisection decides each
     step with :func:`_reaches`.
     """
-    slots = [_FrozenSupport(iota3d[:, :, t][sup], power_cap) for t, sup in enumerate(supports)]
+    slots = [_Support(iota3d[:, :, t][sup], power_cap) for t, sup in enumerate(supports)]
     cap_levels = np.array([slot.cap_level for slot in slots])
     hi = float(cap_levels.max(initial=0.0))
     if hi <= 0.0:
@@ -766,9 +748,8 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
     elif len(slots) != L or any(
             c.cap != spec.rb_cap or c.power_cap != spec.power_cap for c in slots):
         raise ValueError(f"slot curves do not match interval [{spec.start}, {spec.end})")
-    caps = [c.slot_cap for c in slots]
-    cap_levels = np.array([c.level for c in caps])
-    max_rate = float(seq_sum(c.rate_at_cap for c in caps))
+    cap_levels = np.array([c.cap_level for c in slots])
+    max_rate = float(seq_sum(c.rate_at_cap for c in slots))
     if max_rate < vbar * (1.0 - 1e-12):
         return Infeasible(max_rate=max_rate)
 
@@ -779,8 +760,8 @@ def solve_interval(spec: IntervalSpec, profile: ChannelProfile, slots=None):
     limits, xi_max = [], np.ones(L)
     for t in range(L):
         if mu >= cap_levels[t]:
-            limits.append(caps[t].limits)
-            xi_max[t] = caps[t].xi
+            limits.append(slots[t].cap_limits)
+            xi_max[t] = slots[t].cap_xi
         else:
             limits.append(slots[t].limits(mu))
 

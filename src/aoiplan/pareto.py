@@ -48,8 +48,6 @@ class FrontierPoint:
 @dataclass
 class ParetoFrontier:
     points: tuple          # FrontierPoint, load_cap strictly increasing
-    theta_lo: int
-    theta_hi: int
 
     def __post_init__(self):
         caps = [p.load_cap for p in self.points]
@@ -61,8 +59,14 @@ class ParetoFrontier:
                 raise ValueError("frontier energies must be strictly decreasing")
         if not self.points:
             raise ValueError("frontier cannot be empty")
-        if self.theta_lo != self.points[0].load_cap or self.theta_hi != self.points[-1].load_cap:
-            raise ValueError("theta bounds disagree with stored points")
+
+    @property
+    def theta_lo(self) -> int:
+        return self.points[0].load_cap
+
+    @property
+    def theta_hi(self) -> int:
+        return self.points[-1].load_cap
 
     def __iter__(self):
         return iter(self.points)
@@ -99,11 +103,7 @@ def compute_frontier(scenario: Scenario, profile: ChannelProfile,
         raise NoFeasiblePlanError(
             "freshness bound unreachable even with every resource block admitted"
         )
-    return ParetoFrontier(
-        points=tuple(points),
-        theta_lo=points[0].load_cap,
-        theta_hi=points[-1].load_cap,
-    )
+    return ParetoFrontier(points=tuple(points))
 
 
 def _check_strictly_increasing(fn, lo: float, hi: float, name: str):
@@ -210,26 +210,30 @@ def read_frontier_csv(path) -> list:
     """Frontier points of an exported frontier CSV, without their plans.
 
     Each row needs a load cap >= 1 and a finite energy >= 0; raises
-    :class:`PlanFormatError` otherwise.
+    :class:`PlanFormatError` otherwise, and for a file that is not UTF-8
+    or that the csv module refuses (a field over its size limit).
     """
     points = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = sorted({"epsilon_theta", "energy_linear"} - set(reader.fieldnames or ()))
-        if missing:
-            raise PlanFormatError(f"frontier file {path} has no column {', '.join(missing)}")
-        for row in reader:
-            try:
-                cap, energy = int(row["epsilon_theta"]), float(row["energy_linear"])
-                ok = cap >= 1 and 0.0 <= energy < math.inf
-            except (TypeError, ValueError):  # TypeError: a short row's missing cell
-                ok = False
-            if not ok:
-                raise PlanFormatError(
-                    f"frontier file {path} line {reader.line_num}: epsilon_theta "
-                    f"{row['epsilon_theta']!r} or energy_linear {row['energy_linear']!r} "
-                    f"is not a load cap >= 1 and a finite energy >= 0")
-            points.append(FrontierPoint(load_cap=cap, energy=energy, plan=None))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = sorted({"epsilon_theta", "energy_linear"} - set(reader.fieldnames or ()))
+            if missing:
+                raise PlanFormatError(f"frontier file {path} has no column {', '.join(missing)}")
+            for row in reader:
+                try:
+                    cap, energy = int(row["epsilon_theta"]), float(row["energy_linear"])
+                    ok = cap >= 1 and 0.0 <= energy < math.inf
+                except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                    ok = False
+                if not ok:
+                    raise PlanFormatError(
+                        f"frontier file {path} line {reader.line_num}: epsilon_theta "
+                        f"{row['epsilon_theta']!r} or energy_linear {row['energy_linear']!r} "
+                        f"is not a load cap >= 1 and a finite energy >= 0")
+                points.append(FrontierPoint(load_cap=cap, energy=energy, plan=None))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise PlanFormatError(f"frontier file {path} cannot be read: {exc}") from exc
     if not points:
         raise PlanFormatError(f"frontier file {path} has no rows")
     return points

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelProfile, capacity_lower_bound
+from .channel import ChannelProfile
 from .errors import PlanFormatError
-from .sim import SUCCESS_MODES, Leg, PolicyPlan
+from .numeric import seq_sum
+from .sim import SUCCESS_MODES, Leg, PolicyPlan, _payload_per_slot
 
 FORMAT_TAG = "aoiplan-plan-v1"
 _POWER_SLACK = 1.0 + 1e-9
@@ -179,19 +180,11 @@ def load_plan(path) -> tuple[PolicyPlan, dict]:
 def validate_plan_rates(plan: PolicyPlan, profile: ChannelProfile) -> None:
     """Check that the plan has the profile's (N, K, T) and that each
     feasible leg's expected rate meets its target."""
-    if plan.shape != profile.gain.shape:
-        raise PlanFormatError(
-            f"plan dimensions (N, K, T) = {plan.shape} differ from the scenario's "
-            f"{profile.gain.shape}"
-        )
+    payload = _payload_per_slot(plan, profile)
     for leg in plan.legs:
         if not leg.feasible:
             continue
-        sl = slice(leg.start - 1, leg.end - 1)
-        rate = capacity_lower_bound(
-            leg.power, profile.gain[:, :, sl], profile.shape[:, :, sl], profile.noise_power
-        )
-        total = float(np.where(leg.assignment.astype(bool), rate, 0.0).sum())
+        total = float(seq_sum(payload[leg.start - 1 : leg.end - 1]))
         if total < leg.target * _RATE_SLACK:
             raise PlanFormatError(
                 f"leg [{leg.start}, {leg.end}) delivers expected rate {total:.6g} "

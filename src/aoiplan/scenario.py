@@ -165,7 +165,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse a JSON scenario document into a validated :class:`Scenario`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
         raise ScenarioParseError(f"scenario document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -215,8 +215,12 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario from a JSON file."""
-    return parse_scenario(Path(path).read_text())
+    """Load and validate a scenario from a JSON file; one that is not
+    UTF-8 or cannot be parsed raises :class:`ScenarioParseError` naming it."""
+    try:
+        return parse_scenario(Path(path).read_text())
+    except (UnicodeDecodeError, ScenarioParseError) as exc:
+        raise ScenarioParseError(f"scenario file {path}: {exc}") from exc
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

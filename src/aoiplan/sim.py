@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelProfile, capacity_lower_bound, replica_generators, sample_fading
+from .errors import PlanFormatError
 from .inner import Infeasible, IntervalSpec, solve_interval
 from .numeric import seq_sum
 from .scenario import Scenario
@@ -286,7 +287,11 @@ def _success_traces(plan: PolicyPlan, payload: np.ndarray) -> tuple:
 
 
 def _payload_per_slot(plan: PolicyPlan, profile: ChannelProfile) -> np.ndarray:
-    """Slot-wise assigned expected (surrogate) sum rate."""
+    """Slot-wise assigned expected (surrogate) sum rate; a profile of other
+    (N, K, T) than the plan's raises :class:`PlanFormatError`."""
+    if plan.shape != profile.gain.shape:
+        raise PlanFormatError(f"plan dimensions (N, K, T) = {plan.shape} differ from the "
+                              f"profile's {profile.gain.shape}")
     rate = capacity_lower_bound(plan.full_power(), profile.gain, profile.shape,
                                 profile.noise_power)
     return np.where(plan.full_assignment().astype(bool), rate, 0.0).sum(axis=(0, 1))
@@ -310,9 +315,6 @@ def expected_trace(plan: PolicyPlan, profile: ChannelProfile) -> AoiTrace:
 
     The plan must have the profile's (N, K, T).
     """
-    if plan.shape != profile.gain.shape:
-        raise ValueError(f"plan dimensions (N, K, T) = {plan.shape} differ from the "
-                         f"profile's {profile.gain.shape}")
     age, success, cum = _success_traces(plan, _payload_per_slot(plan, profile)[None, :])
     return AoiTrace(age=age[0], success=success[0], cum_payload=cum[0],
                     peak_age=int(age[0].max()))

@@ -77,7 +77,7 @@ def test_generate_validation_error_writes_nothing(tmp_path, capsys):
 
 def test_generate_rejects_seeds_a_profile_file_cannot_store(tmp_path, desk_files, capsys):
     """Profiles store the seed as an int64: the largest one round-trips, and
-    the next exits 2 before either file is written."""
+    the next exits 2 before the output directory is made."""
     _, _, scen, _ = desk_files
     top, over = tmp_path / "top", tmp_path / "over"
     assert main(["generate", "--scenario", scen, "--seed", str(2**63 - 1), "--out", str(top)]) == 0
@@ -86,6 +86,7 @@ def test_generate_rejects_seeds_a_profile_file_cannot_store(tmp_path, desk_files
     assert main(["generate", "--scenario", scen, "--seed", str(2**63), "--out", str(over)]) == 2
     assert f"seed {2**63}" in capsys.readouterr().err
     assert not (over / "scenario.json").exists() and not (over / "profile.npz").exists()
+    assert not over.exists()
 
 
 def test_generate_missing_dir_is_io_error(tmp_path):
@@ -512,8 +513,12 @@ def test_transform_and_select_reject_malformed_inputs(tmp_path, capsys):
     bad_cell = _frontier_csv(tmp_path / "b.csv", ["2,0.8,0,1,1", "3.5,0.6,0,1,1"])
     short = _frontier_csv(tmp_path / "s.csv", ["2,0.8,0,1,1", "3"])
     empty = _frontier_csv(tmp_path / "e.csv", [])
+    binary = tmp_path / "x.csv"  # not UTF-8
+    binary.write_bytes(b"\xff" + Path(good).read_bytes())
+    wide = _frontier_csv(tmp_path / "w.csv", ["2,0.8,0,1," + "1;" * 70_000 + "1"])  # csv's limit
     for path, words in ((no_cap, "epsilon_theta"), (bad_cell, "line 3"), (short, "line 3"),
-                        (empty, "has no rows")):
+                        (empty, "has no rows"), (str(binary), "cannot be read"),
+                        (wide, "cannot be read")):
         with pytest.raises(PlanFormatError, match=words):
             pareto.read_frontier_csv(path)
         for cmd in (["transform", "--frontier", path, "--g1", "identity", "--g2", "identity",

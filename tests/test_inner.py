@@ -115,18 +115,18 @@ def test_extended_rejects_bad_mix():
 
 def test_slot_cap_single_entry():
     cap = solve_slot_cap(np.array([[1.0]]), 1, 4.0)
-    assert cap.slot_cap.level == pytest.approx(5.0, rel=1e-9)
+    assert cap.cap_level == pytest.approx(5.0, rel=1e-9)
 
 
 def test_slot_cap_two_identical_rbs():
     cap = solve_slot_cap(np.array([[1.0, 1.0]]), 2, 6.0)
-    assert cap.slot_cap.level == pytest.approx(4.0, rel=1e-9)
+    assert cap.cap_level == pytest.approx(4.0, rel=1e-9)
 
 
 def test_slot_cap_vanishing_budget():
     cap = solve_slot_cap(np.array([[1.0, 2.0]]), 2, 1e-9)
-    assert cap.slot_cap.level == pytest.approx(1.0, rel=1e-6)
-    assert cap.slot_cap.level > 1.0
+    assert cap.cap_level == pytest.approx(1.0, rel=1e-6)
+    assert cap.cap_level > 1.0
 
 
 # ---------------------------------------------------------------- solve_interval
@@ -286,8 +286,8 @@ def _switch_levels(iota2d, cap, lo, hi, grid=120):
 def _direct_total(slots, mu):
     total = 0.0
     for c in slots:
-        if mu >= c.slot_cap.level:
-            total += c.slot_cap.rate_at_cap
+        if mu >= c.cap_level:
+            total += c.rate_at_cap
         else:
             total += inner._slot_state(mu, c.iota2d, c.cap)[2]
     return total
@@ -303,10 +303,10 @@ def test_slot_curve_bounds_settle_like_direct_sums():
         prof = synthetic_profile(100 + seed, N=3, K=4, L=3)
         cap, power_cap = 1 + seed % 2, 6.0
         slots = slot_curves(prof.iota, cap, power_cap)
-        lo, hi = float(prof.iota.min()), max(c.slot_cap.level for c in slots)
+        lo, hi = float(prof.iota.min()), max(c.cap_level for c in slots)
         switches = []
         for c in slots:
-            for a, b in _switch_levels(c.iota2d, cap, lo, c.slot_cap.level):
+            for a, b in _switch_levels(c.iota2d, cap, lo, c.cap_level):
                 switches.append(a)
                 for k in range(-3, 4):  # seed a few ulps on both sides
                     x = a
@@ -364,7 +364,7 @@ def test_certified_pieces_hold_the_cold_selection_inside():
         N, K, cap = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
         iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
         curve = solve_slot_cap(iota, cap, 8.0)
-        lo, hi = float(iota.min()), curve.slot_cap.level
+        lo, hi = float(iota.min()), curve.cap_level
         cap_levels = list(curve._levels)
         seeds = [float(x) for x in np.linspace(lo, hi, 25)[1:]]
         for a, _ in _switch_levels(iota, cap, lo, hi, grid=40):
@@ -442,7 +442,7 @@ def test_stored_slack_piece_decisions_equal_fresh_certificates():
         N, K, cap = int(rng.integers(2, 6)), int(rng.integers(3, 9)), int(rng.integers(1, 4))
         iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
         curve = solve_slot_cap(iota, cap, 8.0)
-        lo, hi = float(iota.min()), curve.slot_cap.level
+        lo, hi = float(iota.min()), curve.cap_level
         for x in [float(x) for x in np.linspace(lo, hi, 25)[1:]]:
             curve.state(x)
         for a, _ in _switch_levels(iota, cap, lo, hi, grid=40):
@@ -470,7 +470,7 @@ def test_no_certified_piece_spans_the_near_tie_band():
     c = 0.1306607475
     curve = solve_slot_cap(iota, 1, 6.0)
     band = [float(x) for x in np.linspace(c * (1.0 - 2e-10), c * (1.0 + 2e-10), 1001)]
-    grid = [float(x) for x in np.linspace(iota.min(), curve.slot_cap.level, 60)[1:]]
+    grid = [float(x) for x in np.linspace(iota.min(), curve.cap_level, 60)[1:]]
     for x in grid + band + [c * (1.0 + e) for e in (-1e-3, -1e-6, -1e-8, 1e-8, 1e-6, 1e-3)]:
         curve.state(x)
     colds = [inner._slot_state(x, iota, 1)[0] for x in band]
@@ -501,7 +501,7 @@ def test_limits_from_a_curve_with_pieces_equal_a_fresh_stores(monkeypatch):
         N, K, cap = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 3))
         iota = synthetic_profile(int(rng.integers(1 << 30)), N=N, K=K, L=1).iota[:, :, 0]
         curve = solve_slot_cap(iota, cap, 8.0)
-        lo, hi = float(iota.min()), curve.slot_cap.level
+        lo, hi = float(iota.min()), curve.cap_level
         switches = [a for a, _ in _switch_levels(iota, cap, lo, hi, grid=40)]
         for x in [float(x) for x in np.linspace(lo, hi, 25)[1:]]:
             curve.state(x)
@@ -545,7 +545,7 @@ def test_relaxed_rate_short_of_the_target_raises(monkeypatch):
     spec = IntervalSpec(start=1, end=4, rb_cap=1, rate_target=1.0, power_cap=5.0)
     curves = slot_curves(prof.iota, 1, 5.0)
     sol = solve_interval(spec, prof, curves)
-    assert all(sol.level < c.slot_cap.level for c in curves)  # every slot asks limits(mu)
+    assert all(sol.level < c.cap_level for c in curves)  # every slot asks limits(mu)
     real = inner.SlotCurve.limits
 
     def short(self, level):
@@ -613,11 +613,11 @@ def test_support_logs_bracket_the_priced_rate_of_any_selection():
         select = (rng.uniform(size=(N, K)) < rng.uniform(0.1, 1.0)).astype(np.int8)
         if not select.any():
             select[0, 0] = 1
-        logs = inner._SupportLogs(iota[select.astype(bool)])
+        logs = inner._Support(iota[select.astype(bool)])
         big += select.sum() >= 64
         for x in _levels_around(iota[select.astype(bool)].tolist(), rng):
             rate = inner._slot_state(x, iota, 1, select, True)[2]
-            lo, hi = logs.rate_bounds(x)
+            lo, hi = logs.bracket(x)
             assert lo <= rate <= hi, (trial, x, lo, rate, hi)
             checked += 1
     assert checked >= 5000 and big >= 5
@@ -633,18 +633,18 @@ def test_curve_bounds_use_the_piece_bracket_inside_certified_pieces():
         N, K, cap = int(rng.integers(2, 6)), int(rng.integers(4, 40)), int(rng.integers(1, 9))
         iota = _spread_floors(rng, (N, K))
         curve = solve_slot_cap(iota, cap, float(iota.max()) * 4.0)
-        lo, hi = float(iota.min()), curve.slot_cap.level
+        lo, hi = float(iota.min()), curve.cap_level
         for x in np.linspace(lo, hi, 30)[1:]:
             curve.state(float(x))
         for s, q, select in _pieces_of(curve):
-            want = inner._SupportLogs(iota[select.astype(bool)])
+            want = inner._Support(iota[select.astype(bool)])
             inside = [_ulps(s, k) for k in (1, 3)] + [_ulps(q, -k) for k in (1, 3)]
             for x in inside + [float(rng.uniform(s, q))]:
                 if not s < x < q:
                     continue
                 rate = inner._slot_state(x, iota, cap, select, True)[2]
                 bounds = curve.bounds(x)
-                assert bounds == want.rate_bounds(x), (trial, s, q, x)
+                assert bounds == want.bracket(x), (trial, s, q, x)
                 assert bounds[0] <= rate <= bounds[1], (trial, x, bounds, rate)
             pieces += 1
     assert pieces >= 100
@@ -655,7 +655,7 @@ def _frozen(rng, N, K, L):
     iota = _spread_floors(rng, (N, K, L))
     supports = [rng.uniform(size=(N, K)) < rng.uniform(0.0, 1.0) for _ in range(L)]
     power_cap = float(iota.max()) * 10.0 ** rng.uniform(-3, 1)
-    return [inner._FrozenSupport(iota[:, :, t][sup], power_cap) for t, sup in enumerate(supports)]
+    return [inner._Support(iota[:, :, t][sup], power_cap) for t, sup in enumerate(supports)]
 
 
 def _slot_rate(slot, mu):
@@ -663,6 +663,27 @@ def _slot_rate(slot, mu):
     lvl = min(mu, slot.cap_level)
     act = vals[vals < lvl]
     return float(np.log2(lvl / act).sum()) if act.size else 0.0
+
+
+def test_support_cap_level_spends_the_power_cap():
+    """Water-filling a support's floors at its ``cap_level`` spends the
+    power cap to 1e-12 relative: single floors, tied floors and up to 80
+    floors from a thousandth to ten times the cap, which puts the level
+    below some of them; without a cap the level is inf."""
+    rng = np.random.default_rng(31)
+    partial = 0
+    for trial in range(300):
+        n = 1 if trial % 5 == 0 else int(rng.integers(2, 81))
+        power_cap = 10.0 ** rng.uniform(-3, 3)
+        floors = power_cap * 10.0 ** rng.uniform(-3, 1, size=n)
+        if trial % 5 in (1, 2):
+            floors = rng.choice(floors[:3], size=n)  # ties
+        level = inner._Support(floors, power_cap).cap_level
+        spent = float(np.maximum(0.0, level - floors).sum())
+        assert spent == pytest.approx(power_cap, rel=1e-12, abs=0.0), (trial, n)
+        partial += level < floors.max()
+    assert partial >= 50
+    assert inner._Support(floors).cap_level == math.inf
 
 
 def test_frozen_support_brackets_hold_each_slots_float_rate():

@@ -22,7 +22,7 @@ from conftest import desk_scenario
 
 def synthetic_frontier(points):
     pts = tuple(FrontierPoint(load_cap=c, energy=e, plan=None) for c, e in points)
-    return ParetoFrontier(points=pts, theta_lo=pts[0].load_cap, theta_hi=pts[-1].load_cap)
+    return ParetoFrontier(points=pts)
 
 
 @pytest.fixture(scope="module")

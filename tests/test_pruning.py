@@ -267,7 +267,7 @@ def test_dual_bound_is_tight_on_every_feasible_k16_edge(cap):
         ours = dual_bound(slots, mu, V, P)
         ref = LN2 * mu * V
         for t, slot in enumerate(slots, start=i):
-            level = min(mu, slot.slot_cap.level)
+            level = min(mu, slot.cap_level)
             cost = _scipy_cost(level, profile.iota[:, :, t - 1], cap)
             floor = slot.cost_floor(level)
             assert floor <= cost <= floor + 1e-9 * (1.0 + abs(cost))

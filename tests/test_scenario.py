@@ -150,6 +150,24 @@ def test_parse_errors_name_offending_keys():
         parse_scenario("{not json")
 
 
+def test_undecodable_scenario_files_are_parse_errors(tmp_path, capsys):
+    """A file that is not UTF-8, and a JSON integer too long for ``int``
+    (over 4,300 digits), raise :class:`ScenarioParseError` naming the file,
+    and ``generate`` exits 2 on either."""
+    text = json.dumps(scenario_to_dict(desk_scenario(2)))
+    binary, huge = tmp_path / "binary.json", tmp_path / "huge.json"
+    binary.write_bytes(b"\xff" + text.encode())
+    huge.write_text(text.replace("{", '{"master_seed": 1' + "0" * 5000 + ", ", 1))
+    for path, words in ((binary, "utf-8"), (huge, "4300")):
+        with pytest.raises(ScenarioParseError, match=words) as err:
+            load_scenario(path)
+        assert str(path) in str(err.value)
+        capsys.readouterr()
+        assert main(["generate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_power_keys_mutually_exclusive():
     s = desk_scenario(2)
     doc = scenario_to_dict(s)

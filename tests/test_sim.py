@@ -5,6 +5,7 @@ import aoiplan.channel
 import aoiplan.sim
 from aoiplan import build_profile
 from aoiplan.channel import sample_fading
+from aoiplan.errors import PlanFormatError
 from aoiplan.sim import (
     _payload_per_slot,
     _success_traces,
@@ -330,7 +331,7 @@ def test_simulate_rejects_a_profile_of_other_dimensions(feasible_setup):
     plan = baseline_periodic(s, prof, rb_cap=2)
     longer = desk_scenario(3, T=s.horizon_T + 1, vbar=3.0, pbar_dbm=23.0)
     other = build_profile(longer, 3)
-    with pytest.raises(ValueError, match="differ"):
+    with pytest.raises(PlanFormatError, match="differ"):
         simulate(plan, other, replicas=2, seed=1)
-    with pytest.raises(ValueError, match="differ"):
+    with pytest.raises(PlanFormatError, match="differ"):
         expected_trace(plan, other)

@@ -190,7 +190,7 @@ def test_slot_cap_solved_once_per_slot(small_scenario, small_profile, monkeypatc
         assert calls == [cap] * small_scenario.horizon_T
         assert asked.keys() == cap_levels.keys()
         for key, curve in asked.items():
-            assert curve.slot_cap.level in cap_levels[key]
+            assert curve.cap_level in cap_levels[key]
             assert set(cap_levels[key]) <= set(curve._levels)
 
 
